@@ -135,25 +135,45 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _packet_config(args):
+    """The ``PacketSimConfig`` behind ``sim`` and ``faults inject``; a
+    value it rejects exits with a one-line message."""
+    from repro.sim.packet import PacketSimConfig
+
+    try:
+        return PacketSimConfig(
+            warmup_cycles=args.warmup_cycles,
+            measure_cycles=args.measure_cycles,
+            drain_cycles=args.drain_cycles,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid packet-sim input: {exc}")
+
+
+def _run_packet_sim(sim, load: float):
+    """``sim.run(load)``; a load the simulator rejects exits with a
+    one-line message."""
+    try:
+        return sim.run(load)
+    except ValueError as exc:
+        raise SystemExit(f"invalid packet-sim input: {exc}")
+
+
 def _cmd_sim(args) -> int:
     """Instrumented packet-sim run on a small PolarStar (smoke/CI workload)."""
     from repro import store
     from repro.experiments.common import obs_session
-    from repro.sim.packet import PacketSimConfig, PacketSimulator
+    from repro.sim.packet import PacketSimulator
     from repro.traffic import RandomPermutationPattern, UniformRandomPattern
 
+    cfg = _packet_config(args)
     topo = store.topology("polarstar", radix=args.radix, p=args.p)
     router = store.table_router(topo)
     if args.pattern == "uniform":
         pattern = UniformRandomPattern(topo)
     else:
         pattern = RandomPermutationPattern(topo, seed=args.seed)
-    cfg = PacketSimConfig(
-        warmup_cycles=args.warmup_cycles,
-        measure_cycles=args.measure_cycles,
-        drain_cycles=args.drain_cycles,
-        seed=args.seed,
-    )
     faults = None
     if args.fail_links > 0:
         from repro.faults import permanent_link_failures
@@ -170,10 +190,9 @@ def _cmd_sim(args) -> int:
         faults=faults.summary() if faults is not None else None,
     ):
         sim = PacketSimulator(
-            topo, router, pattern, cfg, adaptive=args.adaptive, faults=faults,
-            engine=args.engine,
+            topo, router, pattern, cfg, adaptive=args.adaptive, faults=faults
         )
-        res = sim.run(args.load)
+        res = _run_packet_sim(sim, args.load)
     print(
         f"{topo.name}: load={res.offered_load:.2f} avg_lat={res.avg_latency:.1f} "
         f"p99={res.p99_latency:.1f} thr={res.throughput:.3f} "
@@ -229,16 +248,11 @@ def _cmd_faults_inject(args) -> int:
     """One fault-injected packet-sim run on a small PolarStar instance."""
     from repro import store
     from repro.experiments.common import obs_session
-    from repro.sim.packet import PacketSimConfig, PacketSimulator
+    from repro.sim.packet import PacketSimulator
     from repro.traffic import UniformRandomPattern
 
+    cfg = _packet_config(args)
     topo = store.topology("polarstar", radix=args.radix, p=args.p)
-    cfg = PacketSimConfig(
-        warmup_cycles=args.warmup_cycles,
-        measure_cycles=args.measure_cycles,
-        drain_cycles=args.drain_cycles,
-        seed=args.seed,
-    )
     sched = _build_schedule(topo.graph, args)
     with obs_session(
         args.metrics_out,
@@ -250,9 +264,9 @@ def _cmd_faults_inject(args) -> int:
     ):
         sim = PacketSimulator(
             topo, store.table_router(topo), UniformRandomPattern(topo), cfg,
-            faults=sched, engine=args.engine,
+            faults=sched,
         )
-        res = sim.run(args.load)
+        res = _run_packet_sim(sim, args.load)
     print(f"{topo.name}: {sched!r}")
     print(
         f"load={res.offered_load:.2f} delivered={res.delivered}/{res.injected} "
@@ -1038,14 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="enable repro.obs for the run and export the JSON artifact here",
     )
-    s.add_argument(
-        "--engine",
-        choices=["soa", "reference"],
-        default="soa",
-        help="packet-sim execution strategy: the struct-of-arrays kernel "
-        "(default) or the pinned scalar reference loop (byte-identical "
-        "results; the reference exists for parity checks and benchmarks)",
-    )
     s.set_defaults(fn=_cmd_sim)
 
     f = sub.add_parser("faults", help="fault-injection runs and sweeps")
@@ -1083,12 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="injection cycle for permanent failures and degrades",
     )
     fi.add_argument("--metrics-out", default=None, metavar="PATH")
-    fi.add_argument(
-        "--engine",
-        choices=["soa", "reference"],
-        default="soa",
-        help="packet-sim execution strategy (results are byte-identical)",
-    )
     fi.set_defaults(fn=_cmd_faults_inject)
 
     fg = fsub.add_parser(

@@ -113,7 +113,6 @@ def ugal_samples_ablation(
     name: str = "DF",
     samples=(1, 2, 4, 8),
     load: float = 0.35,
-    engine: str = "soa",
 ) -> dict:
     """Packet-sim delivery under adversarial traffic vs UGAL sample count."""
     topo = table3_instance(name, scale="reduced")
@@ -124,9 +123,7 @@ def ugal_samples_ablation(
         cfg = PacketSimConfig(
             warmup_cycles=400, measure_cycles=1600, drain_cycles=2000, ugal_samples=k
         )
-        res = PacketSimulator(
-            topo, router, pattern, cfg, adaptive=True, engine=engine
-        ).run(load)
+        res = PacketSimulator(topo, router, pattern, cfg, adaptive=True).run(load)
         rows.append(
             {
                 "samples": k,

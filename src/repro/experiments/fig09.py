@@ -138,21 +138,15 @@ def packet_sim_curves(
     loads=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
     adaptive: bool = False,
     config: PacketSimConfig | None = None,
-    engine: str = "soa",
 ) -> dict:
-    """Packet-level latency-vs-load curves on the reduced-scale analogues.
-
-    ``engine`` selects the packet-simulator execution strategy (``"soa"``
-    or the pinned scalar ``"reference"``); the curves are byte-identical
-    either way.
-    """
+    """Packet-level latency-vs-load curves on the reduced-scale analogues."""
     out = {}
     for name in names:
         topo = table3_instance(name, scale="reduced")
         router, _ = table3_router(name, scale="reduced")
         pat = PATTERNS[pattern](topo)
         results = latency_load_sweep(
-            topo, router, pat, loads, config=config, adaptive=adaptive, engine=engine
+            topo, router, pat, loads, config=config, adaptive=adaptive
         )
         out[name] = [
             {

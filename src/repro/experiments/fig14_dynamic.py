@@ -61,10 +61,10 @@ def _finite(x: float) -> float | None:
     return float(x) if math.isfinite(x) else None
 
 
-def _point(topo, router, pattern, cfg, frac, load, seed, engine="soa") -> dict:
+def _point(topo, router, pattern, cfg, frac, load, seed) -> dict:
     """Simulate one packet-level sweep point (shared by run/run_trial)."""
     schedule = permanent_link_failures(topo.graph, frac, seed=seed, time=0)
-    sim = PacketSimulator(topo, router, pattern, cfg, faults=schedule, engine=engine)
+    sim = PacketSimulator(topo, router, pattern, cfg, faults=schedule)
     res = sim.run(load)
     return {
         "fraction": float(frac),
@@ -136,7 +136,6 @@ def run(
     load: float = 0.3,
     seed: int = 0,
     config: PacketSimConfig | None = None,
-    engine: str = "soa",
 ) -> dict:
     """Delivered fraction / latency / drop accounting per failed-link step.
 
@@ -151,7 +150,7 @@ def run(
         router, _ = table3_router(name, scale="reduced")
         pattern = UniformRandomPattern(topo)
         points = [
-            _point(topo, router, pattern, cfg, frac, load, seed, engine=engine)
+            _point(topo, router, pattern, cfg, frac, load, seed)
             for frac in fractions
         ]
         out[name] = {

@@ -11,7 +11,7 @@
 """
 
 from repro.routing.base import Router, route_path
-from repro.routing.table import TableRouter, batched_next_hops, next_hop_table
+from repro.routing.table import TableRouter, next_hop_table
 from repro.routing.polarstar_routing import PolarStarRouter
 from repro.routing.dragonfly_routing import DragonflyRouter
 from repro.routing.hyperx_routing import HyperXRouter
@@ -21,7 +21,6 @@ __all__ = [
     "Router",
     "route_path",
     "TableRouter",
-    "batched_next_hops",
     "next_hop_table",
     "PolarStarRouter",
     "DragonflyRouter",

@@ -26,7 +26,6 @@ from repro.routing.base import HopView, Router
 
 __all__ = [
     "TableRouter",
-    "batched_next_hops",
     "build_distance_table",
     "first_minimal_hops",
     "next_hop_table",
@@ -124,9 +123,8 @@ def next_hop_table(router: Router) -> np.ndarray:
     ``-1``.  For a :class:`TableRouter` the whole matrix is produced by the
     vectorized :func:`first_minimal_hops` kernel over its shared distance
     table; any other policy is sampled pair-by-pair (a one-time ``O(n²)``
-    cost, memoized per router object).  This is the batched table path the
-    struct-of-arrays packet engine fancy-indexes instead of calling
-    ``next_hop`` once per event.
+    cost, memoized per router object).  The fault-free packet-engine loops
+    read routes from it instead of calling ``next_hop`` once per event.
     """
     try:
         cached = _NEXT_HOP_TABLES.get(router)
@@ -163,17 +161,6 @@ def next_hop_table(router: Router) -> np.ndarray:
     except TypeError:
         pass  # non-weakref-able router: still correct, just unmemoized
     return tab
-
-
-def batched_next_hops(
-    table: np.ndarray, srcs: np.ndarray, dests: np.ndarray
-) -> np.ndarray:
-    """Next hops for every pair ``(srcs[i], dests[i])`` from a dense table
-    built by :func:`next_hop_table` — one fancy-indexed gather replacing a
-    Python ``next_hop`` call per pair.  (VC assignment is by hop count in
-    the packet simulator and never influences the route, so no VC input.)
-    """
-    return table[srcs, dests]
 
 
 class TableRouter(Router):

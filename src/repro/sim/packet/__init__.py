@@ -1,19 +1,21 @@
-"""Packet-level network simulator: SoA batched engine + scalar reference.
+"""Packet-level network simulator: two fast loops + scalar reference.
 
 Public surface (unchanged from the original single-module simulator):
 
 * :class:`PacketSimulator` — the facade; ``engine="soa"`` (default) runs
-  the struct-of-arrays batched engine, ``engine="reference"`` the pinned
-  scalar event-heap loop.  Both are byte-identical on seeded runs.
+  the fast engine, ``engine="reference"`` the pinned scalar event-heap
+  loop.  Both are byte-identical on seeded runs.
 * :class:`PacketSimConfig` / :class:`PacketSimResult` — shared config and
   result types (defined next to the reference engine, the semantic spec).
 * :func:`latency_load_sweep` — load sweep with saturation early-stop.
 
-Internals: :mod:`~repro.sim.packet.state` (columnar packet arrays, link
-mirrors, cycle buckets), :mod:`~repro.sim.packet.kernel` (whole-batch
-NumPy passes; RL114 hot-loop discipline), :mod:`~repro.sim.packet.engine`
-(the orchestrator), :mod:`~repro.sim.packet.reference` (the spec engine).
-See docs/SIMULATORS.md for the parity guarantee and bench instructions.
+Internals: :mod:`~repro.sim.packet.engine` (the precomputed-route loop
+for fault-free minimal runs, and one per-arrival loop for UGAL and
+fault-aware runs), :mod:`~repro.sim.packet.state` (the per-arrival loop's
+columnar packet arrays and link mirrors), :mod:`~repro.sim.packet.kernel`
+(its per-cycle send scatter; RL114 hot-loop discipline) and
+:mod:`~repro.sim.packet.reference` (the spec engine).  See
+docs/SIMULATORS.md for the parity guarantee and bench instructions.
 """
 
 from repro.sim.packet.engine import PacketSimulator, latency_load_sweep

@@ -1,37 +1,44 @@
-"""Struct-of-arrays packet engine: batched events, byte-identical results.
+"""Fast packet engines behind :class:`PacketSimulator`: byte-identical results.
 
-This is the default engine behind :class:`PacketSimulator`.  It executes
-the exact discrete-event semantics of the reference scalar loop
-(:mod:`repro.sim.packet.reference`) — same RNG draw order, same event
-order, same credit/dispatch interleave — but restructured for speed:
+:class:`PacketSimulator` executes the exact discrete-event semantics of the
+scalar reference loop (:mod:`repro.sim.packet.reference`, the spec) — same
+RNG draw order, same event order, same credit/dispatch interleave — through
+one of two loops, picked per run:
 
-* packet state lives in NumPy columns (:class:`~.state.PacketArrays`), so
-  each cycle's arrivals are resolved in a handful of fancy-indexed passes
-  (:mod:`~.kernel`) instead of per-object attribute chases;
-* next hops come from a dense per-router table
-  (:func:`repro.routing.table.next_hop_table`) gathered per batch, not
-  from one memoized ``Router.next_hop`` call per event;
-* the global event heap becomes cycle buckets (:func:`~.state.make_buckets`)
-  — integer event times and the ``FAULT < ARRIVE < WAKE`` kind order make
-  per-cycle append-order lists replay the heap exactly;
-* per-link credit/queue state stays in plain Python lists during the run
-  (*hot mirrors*, cheap to index from the order-sensitive dispatch loop)
-  and is converted back to arrays for the bulk metrics flush.
+* :meth:`PacketSimulator._run_pure` for fault-free minimal routing.  Next
+  hops are history-free there, so every packet's whole route is resolved at
+  injection in a few table gathers, and the event loop does timing-only
+  work over integer route codes;
+* :meth:`PacketSimulator._run_soa` for UGAL and fault-aware runs.  Packet
+  state lives in NumPy columns (:class:`~.state.PacketArrays`) and each
+  arrival is routed when it happens: fault-free UGAL reads dense next-hop,
+  distance and link-id tables, and fault-aware runs ask the genuine
+  :class:`~repro.faults.FaultAwareRouter` for every decision, clean epochs
+  included, so its ladder and recompute tallies are its own.
+
+Both loops replace the reference's global event heap with per-cycle bucket
+lists.  Event times are integers and the heap orders by ``(time, kind,
+seq)`` with ``FAULT < ARRIVE < WAKE``, so per-cycle append-order lists per
+kind replay it exactly: appends happen in ``seq`` order, and the only
+same-cycle pushes made while a cycle is processed are wakes, which the
+heap also serves after that cycle's arrivals.  Events past ``end_time``
+are never consumed, just as the reference stops at the first popped event
+beyond it.  Per-link credit/queue state stays in plain Python lists during
+the run (cheap to index from the order-sensitive dispatch loop) and is
+converted back to arrays for the bulk metrics flush.
 
 **Parity rules the implementation follows** (verified by
 ``tests/test_packet_soa_parity.py`` and gated in CI):
 
-* the injection loop stays scalar — inter-arrival and destination draws
-  interleave per endpoint, so vectorizing them would consume the RNG
-  stream in a different order;
-* UGAL decisions and every faulted-epoch routing decision stay scalar (and
-  under a dirty health mask go through the genuine
-  :class:`~repro.faults.FaultAwareRouter` ladder with the reference's memo
-  semantics); the vectorized fast path runs only for cycles where routing
-  is history-free and table-backed (fault-free runs, and clean epochs of
-  faulted runs);
-* measured latencies are accumulated in event order as Python ints, so
-  the final ``np.mean``/``np.percentile`` see the identical operand array.
+* one scalar loop (:func:`_draw_injections`) draws the injections —
+  inter-arrival and destination draws interleave per endpoint, so
+  vectorizing them would consume the RNG stream in a different order;
+* UGAL decisions and fault-aware routing decisions are made one arrival at
+  a time, in event order, with the reference's next-hop memo semantics
+  (the memo's hit/miss tallies feed ``sim.packet.nexthop_cache``);
+* measured latencies reach ``np.mean``/``np.percentile`` in event order
+  with the reference's integer values, so the final statistics see the
+  identical operand array.
 """
 
 from __future__ import annotations
@@ -50,12 +57,7 @@ from repro.sim.packet.reference import (
     PacketSimResult,
     ReferencePacketSimulator,
 )
-from repro.sim.packet.state import (
-    LinkState,
-    PacketArrays,
-    build_link_id_table,
-    make_buckets,
-)
+from repro.sim.packet.state import LinkState, PacketArrays, build_link_id_table
 from repro.topologies.base import Topology
 from repro.traffic.patterns import TrafficPattern, UniformRandomPattern
 
@@ -95,11 +97,74 @@ def _distance_table(router: Router) -> list[int]:
     return flat
 
 
+def _draw_injections(
+    topo: Topology, pattern: TrafficPattern, rng: np.random.Generator,
+    rate: float, horizon: int,
+) -> tuple[list[int], list[int], list[int]]:
+    """Open-loop Poisson injections, in the reference's RNG draw order.
+
+    Per endpoint, inter-arrival and destination draws interleave until the
+    horizon; self-addressed draws are consumed and skipped exactly as the
+    reference skips them.  Returns the ``(src, dest, birth)`` router and
+    cycle lists in injection order, which is the packet id order.
+    """
+    src_l: list[int] = []
+    dest_l: list[int] = []
+    birth_l: list[int] = []
+    if rate <= 0:
+        return src_l, dest_l, birth_l
+    with obs.span("sim.packet.inject"):
+        er = topo.endpoint_router.tolist()
+        exponential = rng.exponential
+        scale = 1.0 / rate
+        # The uniform pattern's draw is one bounded `rng.integers` call;
+        # inlining it skips a Python method call per packet while consuming
+        # the identical RNG stream.  Exact-type check so subclass overrides
+        # keep the virtual call.
+        if type(pattern) is UniformRandomPattern:
+            integers = rng.integers
+            ne1 = topo.num_endpoints - 1
+            # The off-by-one remap never lands on ``e`` itself, so the
+            # self-destination check is statically dead here.
+            for e in range(topo.num_endpoints):
+                src_r = er[e]
+                t = exponential(scale)
+                while t < horizon:
+                    d = int(integers(0, ne1))
+                    dest_e = d if d < e else d + 1
+                    birth = int(t)
+                    t += exponential(scale)
+                    dest_r = er[dest_e]
+                    if dest_r == src_r:
+                        continue
+                    src_l.append(src_r)
+                    dest_l.append(dest_r)
+                    birth_l.append(birth)
+        else:
+            pattern_dest = pattern.dest_endpoint
+            for e in range(topo.num_endpoints):
+                src_r = er[e]
+                t = exponential(scale)
+                while t < horizon:
+                    dest_e = pattern_dest(e, rng)
+                    birth = int(t)
+                    t += exponential(scale)
+                    if dest_e == e:
+                        continue
+                    dest_r = er[dest_e]
+                    if dest_r == src_r:
+                        continue
+                    src_l.append(src_r)
+                    dest_l.append(dest_r)
+                    birth_l.append(birth)
+    return src_l, dest_l, birth_l
+
+
 class PacketSimulator(ReferencePacketSimulator):
     """One run of (topology, router policy, traffic pattern) at fixed load.
 
     ``engine`` selects the execution strategy: ``"soa"`` (default) runs the
-    struct-of-arrays batched engine; ``"reference"`` runs the pinned scalar
+    fast loops of this module; ``"reference"`` runs the pinned scalar
     event-heap loop.  Both produce byte-identical
     :class:`~repro.sim.packet.reference.PacketSimResult` values on the same
     seeded inputs — the reference engine exists as the parity baseline and
@@ -121,16 +186,16 @@ class PacketSimulator(ReferencePacketSimulator):
             raise ValueError(f"unknown packet engine {engine!r}")
         super().__init__(topology, router, pattern, config, adaptive, metrics, faults)
         self.engine = engine
-        # Next-hop memo effectiveness state for the batched paths; mirrors
-        # the reference `_nh_cache` semantics (persists across fault-free
-        # runs, invalidated per fault event).
-        self._pair_seen: np.ndarray | None = None
-        self._pair_seen_list: list[bool] | None = None
-        self._pair_seen_b: bytearray | None = None
+        # Reference `_nh_cache` hit/miss parity for the table-backed loops:
+        # one byte per flattened (router, target) pair, set on its first
+        # lookup.  Persists across fault-free runs like the reference memo;
+        # fault-aware runs use a per-run dict memo instead.
+        self._pair_seen: bytearray | None = None
 
     def run(self, load: float) -> PacketSimResult:
         if self.engine == "reference":
             return super().run(load)
+        self._check_load(load)
         if self.health is None and not self.adaptive:
             return self._run_pure(load)
         return self._run_soa(load)
@@ -186,83 +251,32 @@ class PacketSimulator(ReferencePacketSimulator):
         # is maintained only while observability is on — the routing answers
         # themselves come from the precomputed tables either way.
         if obs_on:
-            if self._pair_seen_b is None:
-                self._pair_seen_b = bytearray(n * n)
-            seen = self._pair_seen_b
+            if self._pair_seen is None:
+                self._pair_seen = bytearray(n * n)
+            seen = self._pair_seen
         else:
             seen = None
 
         # ---- open-loop injections (scalar loop: RNG draw-order parity) ----
-        rate = load / cfg.packet_size
+        src_l, dest_l, birth_l = _draw_injections(
+            topo, self.pattern, rng, load / cfg.packet_size, horizon
+        )
+        npkt = len(birth_l)
         injected_measured = 0
-        # Eager empty lists (not the lazy ``make_buckets`` Nones), with
-        # slack past end_time: every push in the hot loop is then a bare
-        # ``buckets[t].append(...)`` with no horizon bound check.  The
-        # main loop never consumes the slack slots, which is observably
-        # the same as the reference dropping those pushes — except that
-        # the parked sends still claimed the wire, so the busy-time
-        # reconstruction below counts the slack slots too.
+        # Eager empty lists with slack past end_time: every push in the hot
+        # loop is then a bare ``buckets[t].append(...)`` with no horizon
+        # bound check.  The main loop never consumes the slack slots, which
+        # is observably the same as the reference dropping those pushes —
+        # except that the parked sends still claimed the wire, so the
+        # busy-time reconstruction below counts the slack slots too.
         slack = cfg.router_latency + cfg.packet_size + cfg.link_latency + 1
         arr_buckets: list = [[] for _ in range(end_time + slack + 1)]
         wake_buckets: list = [[] for _ in range(end_time + slack + 1)]
-        src_l: list[int] = []
-        dest_l: list[int] = []
-        birth_l: list[int] = []
-        pid = 0
-        if rate > 0:
-            with obs.span("sim.packet.inject"):
-                pattern = self.pattern
-                pattern_dest = pattern.dest_endpoint
-                er = topo.endpoint_router.tolist()
-                exponential = rng.exponential
-                scale = 1.0 / rate
-                # The uniform pattern's draw is one bounded `rng.integers`
-                # call; inlining it skips a Python method call per packet
-                # while consuming the identical RNG stream.  Exact-type
-                # check so subclass overrides keep the virtual call.
-                uniform = type(pattern) is UniformRandomPattern
-                integers = rng.integers
-                ne1 = topo.num_endpoints - 1
-                if uniform:
-                    # The off-by-one remap never lands on ``e`` itself, so
-                    # the self-destination check is statically dead here.
-                    for e in range(topo.num_endpoints):
-                        src_r = er[e]
-                        t = exponential(scale)
-                        while t < horizon:
-                            d = int(integers(0, ne1))
-                            dest_e = d if d < e else d + 1
-                            birth = int(t)
-                            t += exponential(scale)
-                            dest_r = er[dest_e]
-                            if dest_r == src_r:
-                                continue
-                            src_l.append(src_r)
-                            dest_l.append(dest_r)
-                            birth_l.append(birth)
-                            pid += 1
-                else:
-                    for e in range(topo.num_endpoints):
-                        src_r = er[e]
-                        t = exponential(scale)
-                        while t < horizon:
-                            dest_e = pattern_dest(e, rng)
-                            birth = int(t)
-                            t += exponential(scale)
-                            if dest_e == e:
-                                continue
-                            dest_r = er[dest_e]
-                            if dest_r == src_r:
-                                continue
-                            src_l.append(src_r)
-                            dest_l.append(dest_r)
-                            birth_l.append(birth)
-                            pid += 1
 
         # ---- whole-route precompute (one gather column per hop level) -----
         V = cfg.num_vcs
         vmax = V - 1
-        if pid:
+        if npkt:
             srcs = np.asarray(src_l, dtype=np.int64)
             dests = np.asarray(dest_l, dtype=np.int64)
             births = np.asarray(birth_l, dtype=np.int64)
@@ -627,7 +641,7 @@ class PacketSimulator(ReferencePacketSimulator):
         latencies = np.zeros(0, dtype=np.int64)
         hop_total = 0
         delivered_measured = 0
-        if pid:
+        if npkt:
             from itertools import chain
 
             nbuckets = end_time + 1
@@ -690,8 +704,6 @@ class PacketSimulator(ReferencePacketSimulator):
                             max_hops_seen = mh
 
         # ---- flush + result (identical arithmetic to the reference) -------
-        self._nh_hits += nh_hits
-        self._nh_misses += nh_misses
         if obs_on:
             qdepth.observe_many(depths)
             self._flush_metrics(
@@ -708,39 +720,25 @@ class PacketSimulator(ReferencePacketSimulator):
                 faults=None,
             )
 
-        avg_lat = float(np.mean(latencies)) if latencies.size else float("inf")
-        p99 = float(np.percentile(latencies, 99)) if latencies.size else float("inf")
-        thr = (
-            delivered_measured
-            * cfg.packet_size
-            / max(topo.num_endpoints * cfg.measure_cycles, 1)
-        )
-        stable = latencies.size > 0 and delivered_measured >= 0.85 * max(
-            injected_measured, 1
-        )
-        return PacketSimResult(
-            offered_load=load,
-            avg_latency=avg_lat,
-            p99_latency=p99,
-            throughput=thr,
-            delivered=delivered_measured,
-            injected=injected_measured,
-            stable=stable,
-            avg_hops=hop_total / delivered_measured if delivered_measured else 0.0,
-            max_link_utilization=float(link_busy_arr.max() / max(horizon, 1))
-            if self.num_links
-            else 0.0,
-            delivered_fraction=(
-                delivered_measured / injected_measured if injected_measured else 1.0
-            ),
-            dropped=0,
-            reroutes=0,
-            drop_causes={},
+        return self._result(
+            load, latencies, hop_total, delivered_measured, injected_measured,
+            link_busy_arr,
         )
 
-    # -- the SoA engine ----------------------------------------------------
+    # -- per-arrival mode: UGAL and fault-aware runs ----------------------
 
     def _run_soa(self, load: float) -> PacketSimResult:
+        """Per-arrival engine for UGAL and fault-aware runs.
+
+        Routing here depends on history: UGAL weighs live queue occupancy
+        and draws from the run's RNG, and a fault-aware router's answers
+        follow the health mask while its ladder tallies every decision.  So
+        each arrival is routed when it happens, in the reference's event
+        order.  Packet fields are gathered once per cycle from the NumPy
+        columns of :class:`~.state.PacketArrays`, link state lives in the
+        :class:`~.state.LinkState` list mirrors, and each cycle's send
+        effects are scattered back by :func:`~.kernel.record_sends`.
+        """
         cfg = self.cfg
         topo = self.topology
         rng = np.random.default_rng(cfg.seed)
@@ -757,7 +755,7 @@ class PacketSimulator(ReferencePacketSimulator):
         max_hops_seen = 0
         nh_hits = 0
         nh_misses = 0
-        depths: list[int] = [] if obs_on else []
+        depths: list[int] = []
         if obs_on:
             qdepth = reg.histogram(
                 "sim.packet.queue_depth",
@@ -777,90 +775,46 @@ class PacketSimulator(ReferencePacketSimulator):
         applied_events: dict[str, int] = {}
         nh_memo: dict[tuple[int, int], int] = {}
         if faults_on:
-            self._nh_cache.clear()
             rungs0 = dict(self.router.rung_counts)
             eager0, lazy0 = self.router.recompute_eager, self.router.recompute_lazy
             batches0 = len(self.router.recompute_batches)
 
-        # ---- routing tables ------------------------------------------------
-        from repro.routing.table import next_hop_table
-
-        # Tables are built from the *inner* (pristine-topology) router: on a
-        # clean health mask the fault-aware wrapper delegates to it, so the
-        # table answers equal the wrapper's — dirty epochs never use tables.
-        inner = self.router.inner if faults_on else self.router
-        # Adaptive (UGAL) decisions interleave RNG draws with live queue
-        # occupancy, so adaptive runs use scalar per-arrival routing: table
-        # lookups when fault-free, real router calls (ladder, recompute
-        # accounting) whenever a health mask exists.
-        scalar_router = faults_on and adaptive
-        nh_tab = None if scalar_router else next_hop_table(inner)
-        lid_tab = build_link_id_table(n, self.link_id)
+        # ---- routing tables (fault-free runs) -----------------------------
+        # Fault-free runs read next hops, distances and link ids from dense
+        # tables and keep the reference memo's hit/miss accounting in the
+        # persistent `_pair_seen` mirror.  Fault-aware runs route every
+        # decision through the FaultAwareRouter behind `nh_memo`, a per-run
+        # dict cleared per fault event, as the reference does.
         nh_flat: list[int] | None = None
         dist_flat: list[int] | None = None
         lid_flat: list[int] | None = None
-        if adaptive and not faults_on:
-            nh_flat = nh_tab.ravel().tolist()
-            dist_flat = _distance_table(inner)
-            lid_flat = lid_tab.ravel().tolist()
-        # Memo-effectiveness state (reference `_nh_cache` hit/miss parity).
-        if adaptive and not faults_on:
-            if self._pair_seen_list is None:
-                self._pair_seen_list = [False] * (n * n)
-            pair_seen_list = self._pair_seen_list
-        else:
-            pair_seen_list = None
-        if not adaptive:
-            if self._pair_seen is None or faults_on:
-                self._pair_seen = np.zeros(n * n, dtype=bool)
+        pair_seen: bytearray | None = None
+        if not faults_on:
+            from repro.routing.table import next_hop_table
+
+            nh_flat = next_hop_table(self.router).ravel().tolist()
+            dist_flat = _distance_table(self.router)
+            lid_flat = build_link_id_table(n, self.link_id).ravel().tolist()
+            if self._pair_seen is None:
+                self._pair_seen = bytearray(n * n)
             pair_seen = self._pair_seen
-        else:
-            pair_seen = None
-        epoch_clean = (not faults_on) or health.clean
 
         # ---- pre-generated open-loop injections (scalar: RNG parity) ------
-        rate = load / cfg.packet_size
-        injected_measured = 0
-        arr_buckets: list = make_buckets(end_time)
-        wake_buckets: list = make_buckets(end_time)
+        src_l, dest_l, birth_l = _draw_injections(
+            topo, self.pattern, rng, load / cfg.packet_size, horizon
+        )
+        injected_measured = sum(1 for b in birth_l if warm <= b < horizon)
+        # One list per cycle; pushes past end_time are dropped at the push
+        # site, as the reference never pops them.
+        arr_buckets: list[list[int]] = [[] for _ in range(end_time + 1)]
+        wake_buckets: list[list[int]] = [[] for _ in range(end_time + 1)]
+        for pid, birth in enumerate(birth_l):
+            arr_buckets[birth].append(pid)
         fault_lists: dict[int, list] = {}
         if self.faults is not None:
             for ev in self.faults:
                 if ev.time <= end_time:
                     fault_lists.setdefault(ev.time, []).append(ev)
-        src_l: list[int] = []
-        dest_l: list[int] = []
-        birth_l: list[int] = []
-        pid = 0
-        if rate > 0:
-            with obs.span("sim.packet.inject"):
-                pattern_dest = self.pattern.dest_endpoint
-                endpoint_router = topo.endpoint_router
-                exponential = rng.exponential
-                scale = 1.0 / rate
-                for e in range(topo.num_endpoints):
-                    src_r = int(endpoint_router[e])
-                    t = exponential(scale)
-                    while t < horizon:
-                        dest_e = pattern_dest(e, rng)
-                        birth = int(t)
-                        t += exponential(scale)
-                        if dest_e == e:
-                            continue
-                        dest_r = int(endpoint_router[dest_e])
-                        if dest_r == src_r:
-                            continue
-                        src_l.append(src_r)
-                        dest_l.append(dest_r)
-                        birth_l.append(birth)
-                        b = arr_buckets[birth]
-                        if b is None:
-                            arr_buckets[birth] = [pid]
-                        else:
-                            b.append(pid)
-                        pid += 1
-                        if warm <= birth < horizon:
-                            injected_measured += 1
         arrays = PacketArrays(src_l, dest_l, birth_l)
 
         # ---- link state (hot Python-list mirrors) -------------------------
@@ -909,7 +863,7 @@ class PacketSimulator(ReferencePacketSimulator):
         # ---- scalar helpers (faults, UGAL, dispatch interleave) -----------
 
         def next_hop_memo(u: int, t: int) -> int:
-            """Reference `_next_hop` clone for dirty-epoch routing: dict
+            """Reference `_next_hop` clone for fault-aware routing: dict
             memo over the fault-aware router, miss counted even when the
             lookup raises."""
             nonlocal nh_hits, nh_misses
@@ -924,15 +878,15 @@ class PacketSimulator(ReferencePacketSimulator):
             return hop
 
         def next_hop_table_scalar(u: int, t: int) -> int:
-            """Fault-free scalar lookup (UGAL path): dense-table read with
-            the memo's hit/miss accounting semantics."""
+            """Fault-free lookup: dense-table read with the memo's hit/miss
+            accounting semantics."""
             nonlocal nh_hits, nh_misses
             k = u * n + t
-            if pair_seen_list[k]:
+            if pair_seen[k]:
                 nh_hits += 1
             else:
                 nh_misses += 1
-                pair_seen_list[k] = True
+                pair_seen[k] = 1
             return nh_flat[k]
 
         def route_next_scalar(p: int, rr: int, inter: int, dst: int,
@@ -965,11 +919,7 @@ class PacketSimulator(ReferencePacketSimulator):
                     if t < now:
                         t = now
                     if t <= end_time:
-                        wb = wake_buckets[t]
-                        if wb is None:
-                            wake_buckets[t] = [il]
-                        else:
-                            wb.append(il)
+                        wake_buckets[t].append(il)
             b = int(pkt_birth[p])
             if warm <= b < horizon:
                 dropped_measured += 1
@@ -998,14 +948,11 @@ class PacketSimulator(ReferencePacketSimulator):
                 drop_entry(p, vc, il, "unreachable", now)
                 return
             lid = self.link_id[(rr, nxt)]
-            pkt_enq[p] = now
             q = waiting[lid]
             q.append((p, vc, il, now))
             if obs_on:
                 depths.append(len(q))
             try_dispatch(lid, now + RL)
-
-        pkt_enq = arrays.enq
 
         def try_dispatch(lid: int, now: int) -> None:
             """Reference `try_dispatch` clone over the list mirrors (FIFO
@@ -1035,11 +982,7 @@ class PacketSimulator(ReferencePacketSimulator):
                                 if t < now:
                                     t = now
                                 if t <= end_time:
-                                    wb = wake_buckets[t]
-                                    if wb is None:
-                                        wake_buckets[t] = [wil]
-                                    else:
-                                        wb.append(wil)
+                                    wake_buckets[t].append(wil)
                         ser = link_ser[lid]
                         link_free[lid] = now + ser
                         link_busy[lid] += ser
@@ -1051,11 +994,7 @@ class PacketSimulator(ReferencePacketSimulator):
                         w_vc.append(nvc)
                         w_lid.append(lid)
                         if arrive <= end_time:
-                            ab = arr_buckets[arrive]
-                            if ab is None:
-                                arr_buckets[arrive] = [p]
-                            else:
-                                ab.append(p)
+                            arr_buckets[arrive].append(p)
                         sent = True
                         break
                 if not sent:
@@ -1069,21 +1008,13 @@ class PacketSimulator(ReferencePacketSimulator):
                             when = now + esc_timeout - head_wait
                             escape_at[lid] = when
                             if when <= end_time:
-                                wb = wake_buckets[when]
-                                if wb is None:
-                                    wake_buckets[when] = [lid]
-                                else:
-                                    wb.append(lid)
+                                wake_buckets[when].append(lid)
                     return
             if q and not wake_scheduled[lid]:
                 wake_scheduled[lid] = True
                 t = link_free[lid]
                 if t <= end_time:
-                    wb = wake_buckets[t]
-                    if wb is None:
-                        wake_buckets[t] = [lid]
-                    else:
-                        wb.append(lid)
+                    wake_buckets[t].append(lid)
 
         def choose_route_scalar(p: int, src: int, dst: int) -> int:
             """Reference `choose_route` clone (UGAL-L at injection); returns
@@ -1130,17 +1061,13 @@ class PacketSimulator(ReferencePacketSimulator):
             return best_mid
 
         def apply_fault(ev, now: int) -> None:
-            """Reference `apply_fault` clone: mask update, cache + memo
-            invalidation, health mirror refresh, dead-queue displacement."""
-            nonlocal epoch_clean
+            """Reference `apply_fault` clone: mask update, memo invalidation,
+            health mirror refresh, dead-queue displacement."""
             health.apply(ev)
             applied_events[ev.kind] = applied_events.get(ev.kind, 0) + 1
             nh_memo.clear()
-            if pair_seen is not None:
-                pair_seen[:] = False
             self.router.sync()
             links.refresh_health(ends, cfg.packet_size, health)
-            epoch_clean = health.clean
             for lid in range(links.num_links):
                 if link_ok[lid] or not waiting[lid]:
                     continue
@@ -1150,7 +1077,7 @@ class PacketSimulator(ReferencePacketSimulator):
                 for entry in displaced:
                     reroute_entry(entry, blocked, now)
 
-        # ---- main loop: one bucket triplet per cycle ----------------------
+        # ---- main loop: faults, arrivals, wakes, cycle by cycle -----------
         with obs.span("sim.packet.events"):
             for now in range(end_time + 1):
                 if fault_lists:
@@ -1161,352 +1088,127 @@ class PacketSimulator(ReferencePacketSimulator):
                 arr = arr_buckets[now]
                 if arr:
                     now_rl = now + RL
-                    if not adaptive and epoch_clean:
-                        # -- vectorized fast path (history-free routing) --
-                        ids = np.asarray(arr, dtype=np.int64)
-                        router_b, target_b, delivered, nxt, lids = (
-                            kernel.resolve_arrivals(arrays, ids, nh_tab, lid_tab)
-                        )
-                        live = ~delivered
+                    ids = np.asarray(arr, dtype=np.int64)
+                    r_l = pkt_router[ids].tolist()
+                    d_l = pkt_dest[ids].tolist()
+                    inter_l = pkt_inter[ids].tolist()
+                    vc_l = pkt_vc[ids].tolist()
+                    il_l = pkt_in_link[ids].tolist()
+                    b_l = pkt_birth[ids].tolist()
+                    hops_l = pkt_hops[ids].tolist()
+                    s_l = pkt_src[ids].tolist() if adaptive else None
+                    for i in range(len(arr)):
+                        p = arr[i]
+                        rr = r_l[i]
+                        il = il_l[i]
+                        if faults_on and not health.node_up(rr):
+                            drop_entry(p, vc_l[i], il, "node_down", now)
+                            continue
+                        inter = inter_l[i]
+                        if il < 0 and adaptive and rr == s_l[i]:
+                            if faults_on:
+                                try:
+                                    inter = choose_route_scalar(p, rr, d_l[i])
+                                except RouteUnavailableError:
+                                    drop_entry(p, vc_l[i], il, "unreachable", now)
+                                    continue
+                            else:
+                                inter = choose_route_scalar(p, rr, d_l[i])
+                        if inter == rr:
+                            inter = -1
+                            pkt_inter[p] = -1
+                        if rr == d_l[i]:
+                            if il >= 0:  # ejection frees the buffer
+                                credits[il * V + vc_l[i]] += 1
+                                if waiting[il] and not wake_scheduled[il]:
+                                    wake_scheduled[il] = True
+                                    t = link_free[il]
+                                    if t < now:
+                                        t = now
+                                    if t <= end_time:
+                                        wake_buckets[t].append(il)
+                            b = b_l[i]
+                            if warm <= b < horizon:
+                                latencies.append(now - b)
+                                hop_total += hops_l[i]
+                                delivered_measured += 1
+                            if obs_on and hops_l[i] > max_hops_seen:
+                                max_hops_seen = hops_l[i]
+                            continue
                         if faults_on:
-                            # TTL-expired packets drop before routing in the
-                            # reference loop, so they never touch the memo.
-                            hops_b = arrays.hops[ids]
-                            route_mask = live & (hops_b < ttl_hops)
+                            if hops_l[i] >= ttl_hops:
+                                drop_entry(p, vc_l[i], il, "ttl", now)
+                                continue
+                            try:
+                                nxt, inter = route_next_scalar(
+                                    p, rr, inter, d_l[i]
+                                )
+                            except RouteUnavailableError:
+                                drop_entry(p, vc_l[i], il, "unreachable", now)
+                                continue
+                            lid = self.link_id[(rr, nxt)]
                         else:
-                            route_mask = live
-                        h, m = kernel.tally_pair_cache(
-                            pair_seen, (router_b * n + target_b)[route_mask]
-                        )
-                        nh_hits += h
-                        nh_misses += m
-                        if faults_on and m:
-                            # clean-epoch misses go through the wrapper's
-                            # fast path in the reference engine, which
-                            # tallies one primary-rung decision per miss
-                            self.router.rung_counts["primary"] += m
-                        kernel.write_enqueue_times(arrays, ids, delivered, now)
-                        lat, hsum, dcount, mx = kernel.account_deliveries(
-                            arrays, ids, delivered, now, warm, horizon, obs_on
-                        )
-                        if dcount or lat:
-                            latencies.extend(lat)
-                            hop_total += hsum
-                            delivered_measured += dcount
-                        if mx > max_hops_seen:
-                            max_hops_seen = mx
-                        dl = delivered.tolist()
-                        lid_l = lids.tolist()
-                        vc_l = pkt_vc[ids].tolist()
-                        il_l = pkt_in_link[ids].tolist()
-                        if not faults_on:
-                            # The dominant case — empty queue, idle link,
-                            # credit in hand — sends inline: identical to
-                            # enqueue + try_dispatch immediately popping
-                            # the sole entry, minus the round-trip.
-                            for p, dflag, lid, vc, il in zip(
-                                arr, dl, lid_l, vc_l, il_l
-                            ):
-                                if dflag:
-                                    # ejection frees the buffer (a delivered
-                                    # packet always holds one: src != dest
-                                    # means it crossed >= 1 link)
+                            target = inter if inter >= 0 else d_l[i]
+                            nxt = next_hop_table_scalar(rr, target)
+                            lid = lid_flat[rr * n + nxt]
+                        q = waiting[lid]
+                        if (
+                            not q
+                            and link_free[lid] <= now_rl
+                            and (not faults_on or link_ok[lid])
+                        ):
+                            vc = vc_l[i]
+                            nvc = vc + 1
+                            if nvc > vmax:
+                                nvc = vmax
+                            ci = lid * V + nvc
+                            if credits[ci] > 0:
+                                # inline send: empty queue, usable idle
+                                # link, credit in hand — identical to
+                                # enqueue + try_dispatch popping the
+                                # sole entry immediately
+                                credits[ci] -= 1
+                                if il >= 0:
                                     credits[il * V + vc] += 1
                                     if waiting[il] and not wake_scheduled[il]:
                                         wake_scheduled[il] = True
                                         t = link_free[il]
-                                        if t < now:
-                                            t = now
+                                        if t < now_rl:
+                                            t = now_rl
                                         if t <= end_time:
-                                            wb = wake_buckets[t]
-                                            if wb is None:
-                                                wake_buckets[t] = [il]
-                                            else:
-                                                wb.append(il)
-                                    continue
-                                q = waiting[lid]
-                                if not q and link_free[lid] <= now_rl:
-                                    nvc = vc + 1
-                                    if nvc > vmax:
-                                        nvc = vmax
-                                    ci = lid * V + nvc
-                                    if credits[ci] > 0:
-                                        credits[ci] -= 1
-                                        credits[il * V + vc] += 1
-                                        if waiting[il] and not wake_scheduled[il]:
-                                            wake_scheduled[il] = True
-                                            t = link_free[il]
-                                            if t < now_rl:
-                                                t = now_rl
-                                            if t <= end_time:
-                                                wb = wake_buckets[t]
-                                                if wb is None:
-                                                    wake_buckets[t] = [il]
-                                                else:
-                                                    wb.append(il)
-                                        ser = link_ser[lid]
-                                        link_free[lid] = now_rl + ser
-                                        link_busy[lid] += ser
-                                        if obs_on:
-                                            depths.append(1)
-                                            if vc >= vmax:
-                                                vc_cap_sends += 1
-                                        arrive = now_rl + ser + LL
-                                        w_pid.append(p)
-                                        w_vc.append(nvc)
-                                        w_lid.append(lid)
-                                        if arrive <= end_time:
-                                            ab = arr_buckets[arrive]
-                                            if ab is None:
-                                                arr_buckets[arrive] = [p]
-                                            else:
-                                                ab.append(p)
-                                        continue
-                                q.append((p, vc, il, now))
+                                            wake_buckets[t].append(il)
+                                ser = link_ser[lid]
+                                link_free[lid] = now_rl + ser
+                                link_busy[lid] += ser
                                 if obs_on:
-                                    depths.append(len(q))
-                                lf = link_free[lid]
-                                if lf <= now_rl:
-                                    try_dispatch(lid, now_rl)
-                                elif not wake_scheduled[lid]:
-                                    # busy link: dispatch can't run before
-                                    # link_free — schedule the wake inline
-                                    wake_scheduled[lid] = True
-                                    if lf <= end_time:
-                                        wb = wake_buckets[lf]
-                                        if wb is None:
-                                            wake_buckets[lf] = [lid]
-                                        else:
-                                            wb.append(lid)
-                        else:
-                            hops_l = hops_b.tolist()
-                            for i in range(len(arr)):
-                                vc = vc_l[i]
-                                il = il_l[i]
-                                if dl[i]:
-                                    if il >= 0:  # ejection frees the buffer
-                                        credits[il * V + vc] += 1
-                                        if waiting[il] and not wake_scheduled[il]:
-                                            wake_scheduled[il] = True
-                                            t = link_free[il]
-                                            if t < now:
-                                                t = now
-                                            if t <= end_time:
-                                                wb = wake_buckets[t]
-                                                if wb is None:
-                                                    wake_buckets[t] = [il]
-                                                else:
-                                                    wb.append(il)
-                                    continue
-                                if hops_l[i] >= ttl_hops:
-                                    drop_entry(arr[i], vc, il, "ttl", now)
-                                    continue
-                                lid = lid_l[i]
-                                q = waiting[lid]
-                                if (
-                                    not q
-                                    and link_ok[lid]
-                                    and link_free[lid] <= now_rl
-                                ):
-                                    nvc = vc + 1
-                                    if nvc > vmax:
-                                        nvc = vmax
-                                    ci = lid * V + nvc
-                                    if credits[ci] > 0:
-                                        # inline send (see fault-free loop)
-                                        credits[ci] -= 1
-                                        if il >= 0:
-                                            credits[il * V + vc] += 1
-                                            if (
-                                                waiting[il]
-                                                and not wake_scheduled[il]
-                                            ):
-                                                wake_scheduled[il] = True
-                                                t = link_free[il]
-                                                if t < now_rl:
-                                                    t = now_rl
-                                                if t <= end_time:
-                                                    wb = wake_buckets[t]
-                                                    if wb is None:
-                                                        wake_buckets[t] = [il]
-                                                    else:
-                                                        wb.append(il)
-                                        ser = link_ser[lid]
-                                        link_free[lid] = now_rl + ser
-                                        link_busy[lid] += ser
-                                        if obs_on:
-                                            depths.append(1)
-                                            if vc >= vmax:
-                                                vc_cap_sends += 1
-                                        arrive = now_rl + ser + LL
-                                        w_pid.append(arr[i])
-                                        w_vc.append(nvc)
-                                        w_lid.append(lid)
-                                        if arrive <= end_time:
-                                            ab = arr_buckets[arrive]
-                                            if ab is None:
-                                                arr_buckets[arrive] = [arr[i]]
-                                            else:
-                                                ab.append(arr[i])
-                                        continue
-                                q.append((arr[i], vc, il, now))
-                                if obs_on:
-                                    depths.append(len(q))
-                                if not link_ok[lid]:
-                                    continue  # dead link: no dispatch, no wake
-                                lf = link_free[lid]
-                                if lf <= now_rl:
-                                    try_dispatch(lid, now_rl)
-                                elif not wake_scheduled[lid]:
-                                    wake_scheduled[lid] = True
-                                    if lf <= end_time:
-                                        wb = wake_buckets[lf]
-                                        if wb is None:
-                                            wake_buckets[lf] = [lid]
-                                        else:
-                                            wb.append(lid)
-                    else:
-                        # -- scalar path (UGAL and/or dirty health mask) --
-                        ids = np.asarray(arr, dtype=np.int64)
-                        r_l = pkt_router[ids].tolist()
-                        d_l = pkt_dest[ids].tolist()
-                        inter_l = pkt_inter[ids].tolist()
-                        vc_l = pkt_vc[ids].tolist()
-                        il_l = pkt_in_link[ids].tolist()
-                        b_l = pkt_birth[ids].tolist()
-                        hops_l = pkt_hops[ids].tolist()
-                        s_l = pkt_src[ids].tolist() if adaptive else None
-                        for i in range(len(arr)):
-                            p = arr[i]
-                            rr = r_l[i]
-                            il = il_l[i]
-                            if faults_on and not health.node_up(rr):
-                                drop_entry(p, vc_l[i], il, "node_down", now)
+                                    depths.append(1)
+                                    if vc >= vmax:
+                                        vc_cap_sends += 1
+                                arrive = now_rl + ser + LL
+                                w_pid.append(p)
+                                w_vc.append(nvc)
+                                w_lid.append(lid)
+                                if arrive <= end_time:
+                                    arr_buckets[arrive].append(p)
                                 continue
-                            inter = inter_l[i]
-                            if il < 0 and adaptive and rr == s_l[i]:
-                                if faults_on:
-                                    try:
-                                        inter = choose_route_scalar(p, rr, d_l[i])
-                                    except RouteUnavailableError:
-                                        drop_entry(p, vc_l[i], il, "unreachable", now)
-                                        continue
-                                else:
-                                    inter = choose_route_scalar(p, rr, d_l[i])
-                            if inter == rr:
-                                inter = -1
-                                pkt_inter[p] = -1
-                            if rr == d_l[i]:
-                                if il >= 0:  # ejection frees the buffer
-                                    credits[il * V + vc_l[i]] += 1
-                                    if waiting[il] and not wake_scheduled[il]:
-                                        wake_scheduled[il] = True
-                                        t = link_free[il]
-                                        if t < now:
-                                            t = now
-                                        if t <= end_time:
-                                            wb = wake_buckets[t]
-                                            if wb is None:
-                                                wake_buckets[t] = [il]
-                                            else:
-                                                wb.append(il)
-                                b = b_l[i]
-                                if warm <= b < horizon:
-                                    latencies.append(now - b)
-                                    hop_total += hops_l[i]
-                                    delivered_measured += 1
-                                if obs_on and hops_l[i] > max_hops_seen:
-                                    max_hops_seen = hops_l[i]
-                                continue
-                            if faults_on:
-                                if hops_l[i] >= ttl_hops:
-                                    drop_entry(p, vc_l[i], il, "ttl", now)
-                                    continue
-                                try:
-                                    nxt, inter = route_next_scalar(
-                                        p, rr, inter, d_l[i]
-                                    )
-                                except RouteUnavailableError:
-                                    drop_entry(p, vc_l[i], il, "unreachable", now)
-                                    continue
-                                lid = self.link_id[(rr, nxt)]
-                            else:
-                                target = inter if inter >= 0 else d_l[i]
-                                nxt = next_hop_table_scalar(rr, target)
-                                lid = lid_flat[rr * n + nxt]
-                            pkt_enq[p] = now
-                            q = waiting[lid]
-                            if (
-                                not q
-                                and link_free[lid] <= now_rl
-                                and (not faults_on or link_ok[lid])
-                            ):
-                                vc = vc_l[i]
-                                nvc = vc + 1
-                                if nvc > vmax:
-                                    nvc = vmax
-                                ci = lid * V + nvc
-                                if credits[ci] > 0:
-                                    # inline send: empty queue, usable idle
-                                    # link, credit in hand — identical to
-                                    # enqueue + try_dispatch popping the
-                                    # sole entry immediately
-                                    credits[ci] -= 1
-                                    if il >= 0:
-                                        credits[il * V + vc] += 1
-                                        if waiting[il] and not wake_scheduled[il]:
-                                            wake_scheduled[il] = True
-                                            t = link_free[il]
-                                            if t < now_rl:
-                                                t = now_rl
-                                            if t <= end_time:
-                                                wb = wake_buckets[t]
-                                                if wb is None:
-                                                    wake_buckets[t] = [il]
-                                                else:
-                                                    wb.append(il)
-                                    ser = link_ser[lid]
-                                    link_free[lid] = now_rl + ser
-                                    link_busy[lid] += ser
-                                    if obs_on:
-                                        depths.append(1)
-                                        if vc >= vmax:
-                                            vc_cap_sends += 1
-                                    arrive = now_rl + ser + LL
-                                    w_pid.append(p)
-                                    w_vc.append(nvc)
-                                    w_lid.append(lid)
-                                    if arrive <= end_time:
-                                        ab = arr_buckets[arrive]
-                                        if ab is None:
-                                            arr_buckets[arrive] = [p]
-                                        else:
-                                            ab.append(p)
-                                    continue
-                            q.append((p, vc_l[i], il, now))
-                            if obs_on:
-                                depths.append(len(q))
-                            if faults_on and not link_ok[lid]:
-                                continue  # dead link: no dispatch, no wake
-                            lf = link_free[lid]
-                            if lf <= now_rl:
-                                try_dispatch(lid, now_rl)
-                            elif not wake_scheduled[lid]:
-                                wake_scheduled[lid] = True
-                                if lf <= end_time:
-                                    wb = wake_buckets[lf]
-                                    if wb is None:
-                                        wake_buckets[lf] = [lid]
-                                    else:
-                                        wb.append(lid)
-                wl = wake_buckets[now]
-                if wl:
-                    i = 0
-                    while i < len(wl):
-                        lid = wl[i]
-                        i += 1
-                        wake_scheduled[lid] = False
-                        try_dispatch(lid, now)
+                        q.append((p, vc_l[i], il, now))
+                        if obs_on:
+                            depths.append(len(q))
+                        if faults_on and not link_ok[lid]:
+                            continue  # dead link: no dispatch, no wake
+                        lf = link_free[lid]
+                        if lf <= now_rl:
+                            try_dispatch(lid, now_rl)
+                        elif not wake_scheduled[lid]:
+                            wake_scheduled[lid] = True
+                            if lf <= end_time:
+                                wake_buckets[lf].append(lid)
+                # Same-cycle wake arms append to this cycle's list while the
+                # loop runs; the index-based list iterator picks them up in
+                # push order, matching the reference heap.
+                for lid in wake_buckets[now]:
+                    wake_scheduled[lid] = False
+                    try_dispatch(lid, now)
                 if w_pid:
                     kernel.record_sends(arrays, w_pid, w_vc, w_lid, ends_v_arr)
                     w_pid.clear()
@@ -1514,8 +1216,6 @@ class PacketSimulator(ReferencePacketSimulator):
                     w_lid.clear()
 
         # ---- flush + result (identical arithmetic to the reference) -------
-        self._nh_hits += nh_hits
-        self._nh_misses += nh_misses
         link_busy_arr = links.busy_array()
         if obs_on:
             qdepth.observe_many(depths)
@@ -1549,32 +1249,46 @@ class PacketSimulator(ReferencePacketSimulator):
                 faults=faults_bundle,
             )
 
-        avg_lat = float(np.mean(latencies)) if latencies else float("inf")
-        p99 = float(np.percentile(latencies, 99)) if latencies else float("inf")
-        thr = (
-            delivered_measured
-            * cfg.packet_size
-            / max(topo.num_endpoints * cfg.measure_cycles, 1)
+        return self._result(
+            load, latencies, hop_total, delivered_measured, injected_measured,
+            link_busy_arr, dropped_measured, reroutes, drop_causes,
         )
-        stable = bool(latencies) and delivered_measured >= 0.85 * max(injected_measured, 1)
+
+    def _result(
+        self, load: float, latencies, hop_total: int, delivered: int,
+        injected: int, link_busy: np.ndarray, dropped: int = 0,
+        reroutes: int = 0, drop_causes: dict[str, int] | None = None,
+    ) -> PacketSimResult:
+        """One run's statistics, with the reference's arithmetic.
+
+        ``latencies`` holds the measured-window latencies in event order,
+        as a list of ints or an ``int64`` array.
+        """
+        cfg = self.cfg
+        horizon = cfg.warmup_cycles + cfg.measure_cycles
+        measured = len(latencies) > 0
         return PacketSimResult(
             offered_load=load,
-            avg_latency=avg_lat,
-            p99_latency=p99,
-            throughput=thr,
-            delivered=delivered_measured,
-            injected=injected_measured,
-            stable=stable,
-            avg_hops=hop_total / delivered_measured if delivered_measured else 0.0,
-            max_link_utilization=float(link_busy_arr.max() / max(horizon, 1))
+            avg_latency=float(np.mean(latencies)) if measured else float("inf"),
+            p99_latency=(
+                float(np.percentile(latencies, 99)) if measured else float("inf")
+            ),
+            throughput=(
+                delivered
+                * cfg.packet_size
+                / max(self.topology.num_endpoints * cfg.measure_cycles, 1)
+            ),
+            delivered=delivered,
+            injected=injected,
+            stable=measured and delivered >= 0.85 * max(injected, 1),
+            avg_hops=hop_total / delivered if delivered else 0.0,
+            max_link_utilization=float(link_busy.max() / max(horizon, 1))
             if self.num_links
             else 0.0,
-            delivered_fraction=(
-                delivered_measured / injected_measured if injected_measured else 1.0
-            ),
-            dropped=dropped_measured,
+            delivered_fraction=delivered / injected if injected else 1.0,
+            dropped=dropped,
             reroutes=reroutes,
-            drop_causes=dict(sorted(drop_causes.items())),
+            drop_causes=dict(sorted((drop_causes or {}).items())),
         )
 
 

@@ -1,11 +1,11 @@
-"""Batched per-cycle kernels for the SoA packet engine.
+"""Batched per-cycle kernel for the per-arrival packet loop.
 
-Every function here is a whole-batch NumPy pass over the packet columns of
-:class:`~repro.sim.packet.state.PacketArrays` — gather the cycle's arrival
-batch, compute masks/targets/next hops with fancy indexing, scatter the
-results back.  **Hot-loop discipline (lint rule RL114) applies to this
-module**: no per-element Python ``for`` loops over packet arrays and no
-object-per-packet attribute access; anything order-sensitive (the
+:meth:`~repro.sim.packet.engine.PacketSimulator._run_soa` buffers each
+cycle's send effects in plain lists and scatters them into the packet
+columns of :class:`~repro.sim.packet.state.PacketArrays` in one
+whole-batch NumPy pass.  **Hot-loop discipline (lint rule RL114) applies
+to this module**: no per-element Python ``for`` loops over packet arrays
+and no object-per-packet attribute access; anything order-sensitive (the
 credit/dispatch interleave) lives in :mod:`repro.sim.packet.engine`
 instead.
 """
@@ -15,90 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "account_deliveries",
     "record_sends",
-    "resolve_arrivals",
-    "tally_pair_cache",
-    "write_enqueue_times",
 ]
-
-
-def resolve_arrivals(arrays, ids, nh_tab, lid_tab):
-    """Vectorized arrival step for one cycle's batch.
-
-    Clears reached Valiant midpoints (in the batch view *and* the backing
-    column), then resolves every pair in two fancy-indexed gathers: the
-    next hop from the dense table built by
-    :func:`repro.routing.table.next_hop_table` and the output link id from
-    the dense link-id table.  Rows where ``delivered`` is set carry
-    sentinel values in ``nxt``/``lids`` and must not be used.
-
-    Returns ``(router, target, delivered, nxt, lids)`` as arrays.
-    """
-    router = arrays.router[ids]
-    dest = arrays.dest[ids]
-    inter = arrays.intermediate[ids]
-    at_mid = inter == router
-    if at_mid.any():
-        arrays.intermediate[ids[at_mid]] = -1
-        inter = np.where(at_mid, -1, inter)
-    delivered = router == dest
-    target = np.where(inter >= 0, inter, dest)
-    nxt = nh_tab[router, target]
-    lids = lid_tab[router, nxt]
-    return router, target, delivered, nxt, lids
-
-
-def write_enqueue_times(arrays, ids, delivered, now: int) -> None:
-    """Stamp the enqueue cycle of every non-delivered arrival in one
-    scatter (the per-entry copy the dispatch loop reads is captured in the
-    waiting-queue tuples; this keeps the column of record in sync)."""
-    arrays.enq[ids[~delivered]] = now
-
-
-def account_deliveries(arrays, ids, delivered, now: int, warmup: int,
-                       horizon: int, track_max_hops: bool):
-    """Delivery statistics for one batch, in batch (= event) order.
-
-    Returns ``(latencies, hop_sum, count, max_hops)`` where ``latencies``
-    is a list of Python ints for the measurement-window deliveries — the
-    exact values, order and dtype path the reference engine produces, so
-    downstream ``np.mean``/``np.percentile`` match byte-for-byte.
-    """
-    if not delivered.any():
-        return [], 0, 0, 0
-    done = ids[delivered]
-    births = arrays.birth[done]
-    hops = arrays.hops[done]
-    measured = (births >= warmup) & (births < horizon)
-    latencies = (now - births[measured]).tolist()
-    hop_sum = int(hops[measured].sum())
-    max_hops = int(hops.max()) if track_max_hops else 0
-    return latencies, hop_sum, int(measured.sum()), max_hops
-
-
-def tally_pair_cache(pair_seen, keys):
-    """Replicate the reference engine's next-hop memo hit/miss counts for a
-    batch of flattened ``(router, target)`` keys.
-
-    The reference memo counts a miss on the first lookup of a pair (since
-    the last invalidation) and a hit on every later one.  Within a batch
-    that means: already-seen keys are hits; of the fresh keys, the first
-    occurrence of each distinct value is a miss and the duplicates are
-    hits.  Marks fresh keys seen.  Returns ``(hits, misses)``.
-    """
-    if keys.size == 0:
-        return 0, 0
-    seen = pair_seen[keys]
-    hits = int(seen.sum())
-    fresh = keys[~seen]
-    if not fresh.size:
-        return hits, 0
-    uniq = np.unique(fresh)
-    misses = int(uniq.size)
-    hits += int(fresh.size) - misses
-    pair_seen[uniq] = True
-    return hits, misses
 
 
 def record_sends(arrays, pids, vcs, lids, ends_v) -> None:

@@ -2,10 +2,10 @@
 
 This module is the **semantic specification** of the packet simulator: an
 event-driven, object-per-packet heap loop kept deliberately simple.  The
-struct-of-arrays engine (:mod:`repro.sim.packet.engine`, the default) must
-reproduce its :class:`PacketSimResult` byte-for-byte on seeded runs — the
-parity tests and ``repro bench packet`` both run this engine as the
-baseline (select it with ``engine="reference"`` / ``--engine=reference``).
+fast loops of :mod:`repro.sim.packet.engine` (the default) must reproduce
+its :class:`PacketSimResult` byte-for-byte on seeded runs — the parity
+tests and ``repro bench packet`` both run this engine as the baseline
+(select it with ``PacketSimulator(..., engine="reference")``).
 
 Models the mechanisms that shape the Fig. 9/10 latency-load curves:
 
@@ -40,6 +40,7 @@ is authoritative — repeated runs of one simulator stay deterministic.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,19 @@ class PacketSimConfig:
     max_retries: int = 8  # per-packet reroute budget before dropping
     ttl_hops: int = 64  # hop budget (livelock guard under detours)
     escape_timeout: int = 64  # cycles head-of-line blocked before rerouting
+
+    def __post_init__(self) -> None:
+        # Negative cycle counts or latencies break the event timeline; a
+        # zero-flit packet, zero buffer slots or VCs, or an empty
+        # measurement window leave nothing to simulate or report.
+        for floor, names in (
+            (0, ("warmup_cycles", "drain_cycles", "link_latency", "router_latency")),
+            (1, ("packet_size", "buffer_packets", "num_vcs", "measure_cycles")),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if value < floor:
+                    raise ValueError(f"{name} must be >= {floor}, got {value!r}")
 
 
 @dataclass
@@ -173,6 +187,12 @@ class ReferencePacketSimulator:
         self._nh_cache: dict[tuple[int, int], int] = {}
         self._nh_hits = 0
         self._nh_misses = 0
+
+    @staticmethod
+    def _check_load(load: float) -> None:
+        """Reject an offered load no injection process can honour."""
+        if not (math.isfinite(load) and load >= 0):
+            raise ValueError(f"offered load must be finite and >= 0, got {load!r}")
 
     def _next_hop(self, current: int, target: int) -> int:
         key = (current, target)
@@ -303,6 +323,7 @@ class ReferencePacketSimulator:
                 ).observe_many(faults["recompute_batches"])
 
     def run(self, load: float) -> PacketSimResult:
+        self._check_load(load)
         cfg = self.cfg
         topo = self.topology
         rng = np.random.default_rng(cfg.seed)

@@ -1,26 +1,25 @@
-"""Struct-of-arrays state for the batched packet engine.
+"""Struct-of-arrays state for the per-arrival packet loop.
 
 The reference engine (:mod:`repro.sim.packet.reference`) keeps one Python
-``_Packet`` object per packet and a global ``heapq`` of events.  The SoA
-engine replaces both:
+``_Packet`` object per packet.  The per-arrival loop
+(:meth:`~repro.sim.packet.engine.PacketSimulator._run_soa`) replaces it
+with:
 
-* :class:`PacketArrays` — every per-packet field lives in one ``int64``
-  NumPy column keyed by packet slot (``src/dest/router/vc/in_link/
-  intermediate/birth/hops/retries/enq``), so the per-cycle kernels in
-  :mod:`repro.sim.packet.kernel` gather and scatter whole arrival batches
-  with fancy indexing instead of touching attributes one packet at a time.
+* :class:`PacketArrays` — every per-packet field the loop reads or writes
+  lives in one ``int64`` NumPy column keyed by packet slot
+  (``src/dest/router/vc/in_link/intermediate/birth/hops/retries``), so a
+  cycle's arrival batch is gathered and its sends scattered
+  (:mod:`repro.sim.packet.kernel`) with fancy indexing instead of touching
+  attributes one packet at a time.  The enqueue cycle the escape timeout
+  reads travels in the waiting-queue entries instead.
 * :class:`LinkState` — per-link mirrors (credits, serialization state,
   FIFO queues, wake dedup flags) kept as plain Python lists.  The
   dispatch/credit interleave is order-sensitive and runs element-at-a-time
   inside one cycle, where CPython list indexing is several times cheaper
   than NumPy scalar indexing; :meth:`LinkState.busy_array` converts back
   to an array for the bulk metrics flush.
-* :func:`make_buckets` — the cycle-bucketed event queue.  All event times
-  are integers and the reference heap orders by ``(time, kind, seq)`` with
-  ``FAULT < ARRIVE < WAKE``; per-cycle append-order lists per kind
-  reproduce that order exactly (appends happen in ``seq`` order, and the
-  only same-cycle pushes made while a cycle is being processed are wakes,
-  which the reference heap also serves after that cycle's arrivals).
+
+:func:`build_link_id_table` serves both fast loops.
 """
 
 from __future__ import annotations
@@ -31,16 +30,16 @@ __all__ = [
     "LinkState",
     "PacketArrays",
     "build_link_id_table",
-    "make_buckets",
 ]
 
 
 class PacketArrays:
-    """Columnar packet state: one ``int64`` array per ``_Packet`` field."""
+    """Columnar packet state: one ``int64`` array per ``_Packet`` field
+    (all but ``enq``, see the module docstring)."""
 
     __slots__ = (
         "n", "src", "dest", "router", "vc", "in_link", "intermediate",
-        "birth", "hops", "retries", "enq",
+        "birth", "hops", "retries",
     )
 
     def __init__(self, src, dest, birth) -> None:
@@ -55,7 +54,6 @@ class PacketArrays:
         self.intermediate = np.full(n, -1, dtype=np.int64)
         self.hops = np.zeros(n, dtype=np.int64)
         self.retries = np.zeros(n, dtype=np.int64)
-        self.enq = self.birth.copy()
 
 
 class LinkState:
@@ -98,17 +96,9 @@ class LinkState:
 
 def build_link_id_table(n: int, link_id: dict[tuple[int, int], int]) -> np.ndarray:
     """Dense ``(n, n)`` int32 link-id matrix (``-1`` for non-edges) so the
-    kernel resolves ``(router, next_hop) -> lid`` by fancy indexing."""
+    fast loops resolve ``(router, next_hop) -> lid`` by indexing."""
     tab = np.full((n, n), -1, dtype=np.int32)
     for (u, v), lid in link_id.items():
         tab[u, v] = lid
     tab.setflags(write=False)
     return tab
-
-
-def make_buckets(end_time: int) -> list:
-    """One lazily-populated event list per cycle ``0..end_time``.  Events
-    past ``end_time`` are never enqueued — the reference loop stops at the
-    first popped event beyond it, which (heap order) discards exactly the
-    same set."""
-    return [None] * (end_time + 1)

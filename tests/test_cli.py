@@ -107,6 +107,18 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["route", "--topology", "no-such-net", "--pair", "0", "1"])
 
+    @pytest.mark.parametrize("argv", [
+        ["sim", "--drain-cycles", "-2000"],
+        ["sim", "--load", "nan"],
+        ["faults", "inject", "--measure-cycles", "0"],
+        ["faults", "inject", "--load", "-0.5"],
+    ])
+    def test_packet_sim_rejects_bad_input_in_one_line(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--radix", "7"])
+        msg = str(exc.value.code)
+        assert msg.startswith("invalid packet-sim input:") and "\n" not in msg
+
     def test_serve_bench_writes_report(self, tmp_path, capsys):
         out_path = tmp_path / "bench.json"
         assert main([

@@ -69,6 +69,29 @@ class TestBasics:
         assert a.delivered == b.delivered
 
 
+class TestInputBoundary:
+    @pytest.mark.parametrize("field,value", [
+        ("warmup_cycles", -300), ("drain_cycles", -2000), ("link_latency", -1),
+        ("router_latency", -1), ("packet_size", 0), ("buffer_packets", 0),
+        ("num_vcs", 0), ("measure_cycles", 0),
+        ("load", -0.5), ("load", float("nan")), ("load", float("inf")),
+    ])
+    def test_rejects_malformed_input(self, small_ps, field, value):
+        """Malformed configs and loads raise ValueError up front instead of
+        crashing mid-run or reporting an empty result."""
+        if field != "load":
+            with pytest.raises(ValueError, match=field):
+                PacketSimConfig(**{field: value})
+            return
+        for engine in ("soa", "reference"):
+            sim = PacketSimulator(
+                small_ps, TableRouter(small_ps.graph), UniformRandomPattern(small_ps),
+                FAST, engine=engine,
+            )
+            with pytest.raises(ValueError, match="load"):
+                sim.run(value)
+
+
 class TestAnalyticRouterInSim:
     def test_polarstar_router_works(self, small_ps):
         star = small_ps.meta["star"]

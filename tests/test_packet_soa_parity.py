@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.faults import FaultAwareRouter, LinkHealth
 from repro.faults.model import (
     degraded_links,
     link_flaps,
@@ -25,7 +26,7 @@ from repro.faults.model import (
     permanent_link_failures,
 )
 from repro.routing import TableRouter
-from repro.routing.table import batched_next_hops, next_hop_table
+from repro.routing.table import next_hop_table
 from repro.sim.packet import PacketSimConfig, PacketSimulator, latency_load_sweep
 from repro.topologies import polarstar_topology
 from repro.traffic import TornadoPattern, UniformRandomPattern
@@ -85,6 +86,27 @@ class TestResultParity:
             f"{name}: engines diverge on "
             f"{[k for k in ref if ref[k] != soa[k]]}"
         )
+
+    @pytest.mark.parametrize("mask", ["clean", "pre-degraded"])
+    def test_wrapped_router_without_schedule(self, topo, mask):
+        # A FaultAwareRouter passed in with no schedule keeps its mask for
+        # the whole run: a clean one makes the run a single clean epoch of a
+        # fault-aware run, a pre-degraded one is never reset.  The router's
+        # own ladder tallies must agree as well as the results.
+        out = {}
+        for engine in ("reference", "soa"):
+            health = LinkHealth(topo.graph)
+            if mask == "pre-degraded":
+                health.apply_schedule(
+                    permanent_link_failures(topo.graph, 0.1, seed=11)
+                    + degraded_links(topo.graph, 0.15, 2, seed=9)
+                )
+            router = FaultAwareRouter(TableRouter(topo.graph), health)
+            sim = PacketSimulator(
+                topo, router, UniformRandomPattern(topo), CFG, engine=engine
+            )
+            out[engine] = (asdict(sim.run(0.3)), dict(router.rung_counts))
+        assert out["reference"] == out["soa"]
 
     def test_repeated_runs_share_state_identically(self, topo):
         # One simulator object per engine, run twice: the SoA engine's
@@ -199,15 +221,3 @@ class TestBatchedNextHopTable:
     def test_table_is_memoized_per_router(self, topo):
         router = TableRouter(topo.graph)
         assert next_hop_table(router) is next_hop_table(router)
-
-    def test_batched_gather_matches_table(self, topo):
-        router = TableRouter(topo.graph)
-        table = next_hop_table(router)
-        n = topo.graph.n
-        rng = np.random.default_rng(1)
-        srcs = rng.integers(0, n, size=500)
-        dests = rng.integers(0, n, size=500)
-        hops = batched_next_hops(table, srcs, dests)
-        assert hops.shape == (500,)
-        expected = np.array([table[u, t] for u, t in zip(srcs, dests)])
-        assert (hops == expected).all()
