@@ -174,11 +174,9 @@ def _cmd_sim(args) -> int:
         pattern = UniformRandomPattern(topo)
     else:
         pattern = RandomPermutationPattern(topo, seed=args.seed)
-    faults = None
-    if args.fail_links > 0:
-        from repro.faults import permanent_link_failures
-
-        faults = permanent_link_failures(topo.graph, args.fail_links, seed=args.seed)
+    faults = _build_schedule(topo.graph, args)
+    if not len(faults):
+        faults = None
     with obs_session(
         args.metrics_out,
         seed=args.seed,
@@ -210,7 +208,12 @@ def _cmd_sim(args) -> int:
 
 
 def _build_schedule(graph, args):
-    """Compose a FaultSchedule from the ``faults inject`` CLI knobs."""
+    """Compose a FaultSchedule from a command's fault knobs.
+
+    A knob the command lacks counts as 0.  Every non-zero knob (negative
+    and NaN included) goes to its generator, which validates it; a value
+    it rejects exits with a one-line message instead of a traceback.
+    """
     from repro.faults import (
         FaultSchedule,
         degraded_links,
@@ -219,28 +222,34 @@ def _build_schedule(graph, args):
         permanent_link_failures,
     )
 
+    fault_time = getattr(args, "fault_time", 0)
     sched = FaultSchedule()
-    if args.fail_links > 0:
-        sched = sched + permanent_link_failures(
-            graph, args.fail_links, seed=args.seed, time=args.fault_time
-        )
-    if args.fail_nodes > 0:
-        sched = sched + node_failures(
-            graph, args.fail_nodes, seed=args.seed + 1, time=args.fault_time
-        )
-    if args.flap_links > 0:
-        horizon = args.warmup_cycles + args.measure_cycles
-        sched = sched + link_flaps(
-            graph, args.flap_links, horizon=horizon, seed=args.seed + 2
-        )
-    if args.degrade_links > 0:
-        sched = sched + degraded_links(
-            graph,
-            args.degrade_links,
-            factor=args.degrade_factor,
-            seed=args.seed + 3,
-            time=args.fault_time,
-        )
+    try:
+        if args.fail_links != 0:
+            sched = sched + permanent_link_failures(
+                graph, args.fail_links, seed=args.seed, time=fault_time
+            )
+        if getattr(args, "fail_nodes", 0) != 0:
+            sched = sched + node_failures(
+                graph, args.fail_nodes, seed=args.seed + 1, time=fault_time
+            )
+        if getattr(args, "flap_links", 0) != 0:
+            horizon = args.warmup_cycles + args.measure_cycles
+            sched = sched + link_flaps(
+                graph, args.flap_links, horizon=horizon, seed=args.seed + 2
+            )
+        if hasattr(args, "degrade_factor"):
+            # Also run at fraction 0 (no events), so a bad factor is
+            # rejected even when no link is degraded.
+            sched = sched + degraded_links(
+                graph,
+                args.degrade_links,
+                factor=args.degrade_factor,
+                seed=args.seed + 3,
+                time=fault_time,
+            )
+    except ValueError as exc:
+        raise SystemExit(f"invalid fault schedule: {exc}")
     return sched
 
 
@@ -273,9 +282,11 @@ def _cmd_faults_inject(args) -> int:
         f"delivered_fraction={res.delivered_fraction:.3f} "
         f"avg_lat={res.avg_latency:.1f} thr={res.throughput:.3f}"
     )
+    # An empty schedule leaves the router unwrapped: no ladder ran.
+    rungs = getattr(sim.router, "rung_counts", {})
     print(
         f"dropped={res.dropped} {res.drop_causes} reroutes={res.reroutes} "
-        f"rungs={sim.router.rung_counts}"
+        f"rungs={rungs}"
     )
     if args.metrics_out:
         print(f"metrics written to {args.metrics_out}")
@@ -285,19 +296,10 @@ def _cmd_faults_inject(args) -> int:
 def _cmd_faults_schedule(args) -> int:
     """Generate a deterministic fault-schedule JSON for ``serve start``."""
     from repro import store
-    from repro.faults import FaultSchedule, node_failures, permanent_link_failures
     from repro.runtime import atomic_write_text
 
     topo = store.resolve_topology(args.topology, scale=args.scale)
-    sched = FaultSchedule()
-    if args.fail_links > 0:
-        sched = sched + permanent_link_failures(
-            topo.graph, args.fail_links, seed=args.seed
-        )
-    if args.fail_nodes > 0:
-        sched = sched + node_failures(
-            topo.graph, args.fail_nodes, seed=args.seed + 1
-        )
+    sched = _build_schedule(topo.graph, args)
     doc = {
         "schema": "repro.faults.schedule/v1",
         "topology": args.topology,

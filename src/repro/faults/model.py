@@ -19,6 +19,7 @@ links that serialize packets more slowly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -38,7 +39,7 @@ __all__ = [
 
 #: Recognized event kinds.  ``link_*`` events carry a ``(u, v)`` endpoint
 #: pair; ``node_*`` events carry only ``u``.  ``link_degrade`` additionally
-#: carries a serialization ``factor`` (>= 1); ``link_up`` clears both a
+#: carries a serialization ``factor`` (finite, >= 1); ``link_up`` clears both a
 #: down state and a degraded state.
 EVENT_KINDS = ("link_down", "link_up", "link_degrade", "node_down", "node_up")
 
@@ -70,8 +71,13 @@ class FaultEvent:
                 raise ValueError(f"node event {self.kind!r} must leave v=-1")
         elif self.v < 0:
             raise ValueError(f"link event {self.kind!r} needs both endpoints")
-        if self.kind == "link_degrade" and self.factor < 1.0:
-            raise ValueError("link_degrade factor must be >= 1 (slowdown)")
+        if self.kind == "link_degrade" and not (
+            math.isfinite(self.factor) and self.factor >= 1.0
+        ):
+            raise ValueError(
+                f"link_degrade factor must be finite and >= 1 (slowdown), "
+                f"got {self.factor!r}"
+            )
 
     @property
     def is_node_event(self) -> bool:
@@ -277,8 +283,8 @@ def degraded_links(
     serializes packets ``factor`` x slower from ``time`` on."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"degraded fraction must be in [0, 1], got {fraction}")
-    if factor < 1.0:
-        raise ValueError("degrade factor must be >= 1")
+    if not (math.isfinite(factor) and factor >= 1.0):
+        raise ValueError(f"degrade factor must be finite and >= 1, got {factor!r}")
     rng = np.random.default_rng(seed)
     k = int(round(fraction * graph.m))
     edges = graph.edge_array

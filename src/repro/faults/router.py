@@ -23,9 +23,10 @@ raises :class:`RouteUnavailableError` — callers decide the drop policy.
 Distance vectors are cached per destination and keyed by the health
 ``epoch``.  When the epoch moves, the cache is invalidated and at most
 ``recompute_budget`` of the most recently used destinations are recomputed
-*eagerly* (inside an ``obs.span("faults.recompute")`` so the latency lands
-in the profile tree); the rest recompute lazily on first use.  The budget
-models a router control plane that must bound its convergence burst.
+*eagerly*, in one :meth:`~repro.faults.health.LinkHealth.bfs_many` call
+(inside an ``obs.span("faults.recompute")`` so the latency lands in the
+profile tree); the rest recompute lazily on first use.  The budget models
+a router control plane that must bound its convergence burst.
 
 Store-bypass contract: these epoch-keyed distance vectors deliberately do
 **not** go through the content-addressed artifact store
@@ -104,8 +105,7 @@ class FaultAwareRouter(Router):
         self._dist_cache.clear()
         self._epoch = self.health.epoch
         with obs.span("faults.recompute"):
-            for dest in recent:
-                self._dist_cache[dest] = self.health.bfs_from(dest)
+            self._dist_cache.update(zip(recent, self.health.bfs_many(recent)))
         self.recompute_eager += len(recent)
         self.recompute_batches.append(len(recent))
 

@@ -19,10 +19,11 @@ never straddles two epochs.
 
 **Parity contract.**  An overlay is built by
 ``build_distance_table(health.healthy_graph())`` — the same BFS builder
-the store uses for pristine tables, on the same healthy subgraph
-``FaultAwareRouter``/``LinkHealth.bfs_from`` route on.  Served distances
-under an epoch are therefore byte-equal to offline fault-aware routing on
-the same mask (``tests/test_serve_faults.py`` asserts this), with the
+the store uses for pristine tables, on the healthy subgraph the mask
+defines.  ``FaultAwareRouter`` routes on ``LinkHealth.bfs_from``, the same
+SciPy BFS over the CSR of that subgraph.  Served distances under an epoch
+are therefore byte-equal to offline fault-aware routing on the same mask
+(``tests/test_serve_faults.py`` asserts this), with the
 int16 sentinel mapped to ``-1``/``None`` on the wire exactly like
 :data:`~repro.faults.health.UNREACHABLE` marks cut-off vertices offline.
 

@@ -820,7 +820,7 @@ class PacketSimulator(ReferencePacketSimulator):
         # ---- link state (hot Python-list mirrors) -------------------------
         links = LinkState(self.ends, cfg.packet_size, cfg.num_vcs, cfg.buffer_packets)
         if faults_on:
-            links.refresh_health(self.ends, cfg.packet_size, health)
+            links.refresh_health(cfg.packet_size, health)
         V = cfg.num_vcs
         vmax = V - 1
         RL = cfg.router_latency
@@ -1067,7 +1067,7 @@ class PacketSimulator(ReferencePacketSimulator):
             applied_events[ev.kind] = applied_events.get(ev.kind, 0) + 1
             nh_memo.clear()
             self.router.sync()
-            links.refresh_health(ends, cfg.packet_size, health)
+            links.refresh_health(cfg.packet_size, health)
             for lid in range(links.num_links):
                 if link_ok[lid] or not waiting[lid]:
                     continue
@@ -1078,142 +1078,148 @@ class PacketSimulator(ReferencePacketSimulator):
                     reroute_entry(entry, blocked, now)
 
         # ---- main loop: faults, arrivals, wakes, cycle by cycle -----------
-        with obs.span("sim.packet.events"):
-            for now in range(end_time + 1):
-                if fault_lists:
-                    evs = fault_lists.pop(now, None)
-                    if evs is not None:
-                        for ev in evs:
-                            apply_fault(ev, now)
-                arr = arr_buckets[now]
-                if arr:
-                    now_rl = now + RL
-                    ids = np.asarray(arr, dtype=np.int64)
-                    r_l = pkt_router[ids].tolist()
-                    d_l = pkt_dest[ids].tolist()
-                    inter_l = pkt_inter[ids].tolist()
-                    vc_l = pkt_vc[ids].tolist()
-                    il_l = pkt_in_link[ids].tolist()
-                    b_l = pkt_birth[ids].tolist()
-                    hops_l = pkt_hops[ids].tolist()
-                    s_l = pkt_src[ids].tolist() if adaptive else None
-                    for i in range(len(arr)):
-                        p = arr[i]
-                        rr = r_l[i]
-                        il = il_l[i]
-                        if faults_on and not health.node_up(rr):
-                            drop_entry(p, vc_l[i], il, "node_down", now)
-                            continue
-                        inter = inter_l[i]
-                        if il < 0 and adaptive and rr == s_l[i]:
-                            if faults_on:
-                                try:
+        try:
+            with obs.span("sim.packet.events"):
+                for now in range(end_time + 1):
+                    if fault_lists:
+                        evs = fault_lists.pop(now, None)
+                        if evs is not None:
+                            for ev in evs:
+                                apply_fault(ev, now)
+                    arr = arr_buckets[now]
+                    if arr:
+                        now_rl = now + RL
+                        ids = np.asarray(arr, dtype=np.int64)
+                        r_l = pkt_router[ids].tolist()
+                        d_l = pkt_dest[ids].tolist()
+                        inter_l = pkt_inter[ids].tolist()
+                        vc_l = pkt_vc[ids].tolist()
+                        il_l = pkt_in_link[ids].tolist()
+                        b_l = pkt_birth[ids].tolist()
+                        hops_l = pkt_hops[ids].tolist()
+                        s_l = pkt_src[ids].tolist() if adaptive else None
+                        for i in range(len(arr)):
+                            p = arr[i]
+                            rr = r_l[i]
+                            il = il_l[i]
+                            if faults_on and not health.node_up(rr):
+                                drop_entry(p, vc_l[i], il, "node_down", now)
+                                continue
+                            inter = inter_l[i]
+                            if il < 0 and adaptive and rr == s_l[i]:
+                                if faults_on:
+                                    try:
+                                        inter = choose_route_scalar(p, rr, d_l[i])
+                                    except RouteUnavailableError:
+                                        drop_entry(p, vc_l[i], il, "unreachable", now)
+                                        continue
+                                else:
                                     inter = choose_route_scalar(p, rr, d_l[i])
-                                except RouteUnavailableError:
-                                    drop_entry(p, vc_l[i], il, "unreachable", now)
-                                    continue
-                            else:
-                                inter = choose_route_scalar(p, rr, d_l[i])
-                        if inter == rr:
-                            inter = -1
-                            pkt_inter[p] = -1
-                        if rr == d_l[i]:
-                            if il >= 0:  # ejection frees the buffer
-                                credits[il * V + vc_l[i]] += 1
-                                if waiting[il] and not wake_scheduled[il]:
-                                    wake_scheduled[il] = True
-                                    t = link_free[il]
-                                    if t < now:
-                                        t = now
-                                    if t <= end_time:
-                                        wake_buckets[t].append(il)
-                            b = b_l[i]
-                            if warm <= b < horizon:
-                                latencies.append(now - b)
-                                hop_total += hops_l[i]
-                                delivered_measured += 1
-                            if obs_on and hops_l[i] > max_hops_seen:
-                                max_hops_seen = hops_l[i]
-                            continue
-                        if faults_on:
-                            if hops_l[i] >= ttl_hops:
-                                drop_entry(p, vc_l[i], il, "ttl", now)
-                                continue
-                            try:
-                                nxt, inter = route_next_scalar(
-                                    p, rr, inter, d_l[i]
-                                )
-                            except RouteUnavailableError:
-                                drop_entry(p, vc_l[i], il, "unreachable", now)
-                                continue
-                            lid = self.link_id[(rr, nxt)]
-                        else:
-                            target = inter if inter >= 0 else d_l[i]
-                            nxt = next_hop_table_scalar(rr, target)
-                            lid = lid_flat[rr * n + nxt]
-                        q = waiting[lid]
-                        if (
-                            not q
-                            and link_free[lid] <= now_rl
-                            and (not faults_on or link_ok[lid])
-                        ):
-                            vc = vc_l[i]
-                            nvc = vc + 1
-                            if nvc > vmax:
-                                nvc = vmax
-                            ci = lid * V + nvc
-                            if credits[ci] > 0:
-                                # inline send: empty queue, usable idle
-                                # link, credit in hand — identical to
-                                # enqueue + try_dispatch popping the
-                                # sole entry immediately
-                                credits[ci] -= 1
-                                if il >= 0:
-                                    credits[il * V + vc] += 1
+                            if inter == rr:
+                                inter = -1
+                                pkt_inter[p] = -1
+                            if rr == d_l[i]:
+                                if il >= 0:  # ejection frees the buffer
+                                    credits[il * V + vc_l[i]] += 1
                                     if waiting[il] and not wake_scheduled[il]:
                                         wake_scheduled[il] = True
                                         t = link_free[il]
-                                        if t < now_rl:
-                                            t = now_rl
+                                        if t < now:
+                                            t = now
                                         if t <= end_time:
                                             wake_buckets[t].append(il)
-                                ser = link_ser[lid]
-                                link_free[lid] = now_rl + ser
-                                link_busy[lid] += ser
-                                if obs_on:
-                                    depths.append(1)
-                                    if vc >= vmax:
-                                        vc_cap_sends += 1
-                                arrive = now_rl + ser + LL
-                                w_pid.append(p)
-                                w_vc.append(nvc)
-                                w_lid.append(lid)
-                                if arrive <= end_time:
-                                    arr_buckets[arrive].append(p)
+                                b = b_l[i]
+                                if warm <= b < horizon:
+                                    latencies.append(now - b)
+                                    hop_total += hops_l[i]
+                                    delivered_measured += 1
+                                if obs_on and hops_l[i] > max_hops_seen:
+                                    max_hops_seen = hops_l[i]
                                 continue
-                        q.append((p, vc_l[i], il, now))
-                        if obs_on:
-                            depths.append(len(q))
-                        if faults_on and not link_ok[lid]:
-                            continue  # dead link: no dispatch, no wake
-                        lf = link_free[lid]
-                        if lf <= now_rl:
-                            try_dispatch(lid, now_rl)
-                        elif not wake_scheduled[lid]:
-                            wake_scheduled[lid] = True
-                            if lf <= end_time:
-                                wake_buckets[lf].append(lid)
-                # Same-cycle wake arms append to this cycle's list while the
-                # loop runs; the index-based list iterator picks them up in
-                # push order, matching the reference heap.
-                for lid in wake_buckets[now]:
-                    wake_scheduled[lid] = False
-                    try_dispatch(lid, now)
-                if w_pid:
-                    kernel.record_sends(arrays, w_pid, w_vc, w_lid, ends_v_arr)
-                    w_pid.clear()
-                    w_vc.clear()
-                    w_lid.clear()
+                            if faults_on:
+                                if hops_l[i] >= ttl_hops:
+                                    drop_entry(p, vc_l[i], il, "ttl", now)
+                                    continue
+                                try:
+                                    nxt, inter = route_next_scalar(
+                                        p, rr, inter, d_l[i]
+                                    )
+                                except RouteUnavailableError:
+                                    drop_entry(p, vc_l[i], il, "unreachable", now)
+                                    continue
+                                lid = self.link_id[(rr, nxt)]
+                            else:
+                                target = inter if inter >= 0 else d_l[i]
+                                nxt = next_hop_table_scalar(rr, target)
+                                lid = lid_flat[rr * n + nxt]
+                            q = waiting[lid]
+                            if (
+                                not q
+                                and link_free[lid] <= now_rl
+                                and (not faults_on or link_ok[lid])
+                            ):
+                                vc = vc_l[i]
+                                nvc = vc + 1
+                                if nvc > vmax:
+                                    nvc = vmax
+                                ci = lid * V + nvc
+                                if credits[ci] > 0:
+                                    # inline send: empty queue, usable idle
+                                    # link, credit in hand — identical to
+                                    # enqueue + try_dispatch popping the
+                                    # sole entry immediately
+                                    credits[ci] -= 1
+                                    if il >= 0:
+                                        credits[il * V + vc] += 1
+                                        if waiting[il] and not wake_scheduled[il]:
+                                            wake_scheduled[il] = True
+                                            t = link_free[il]
+                                            if t < now_rl:
+                                                t = now_rl
+                                            if t <= end_time:
+                                                wake_buckets[t].append(il)
+                                    ser = link_ser[lid]
+                                    link_free[lid] = now_rl + ser
+                                    link_busy[lid] += ser
+                                    if obs_on:
+                                        depths.append(1)
+                                        if vc >= vmax:
+                                            vc_cap_sends += 1
+                                    arrive = now_rl + ser + LL
+                                    w_pid.append(p)
+                                    w_vc.append(nvc)
+                                    w_lid.append(lid)
+                                    if arrive <= end_time:
+                                        arr_buckets[arrive].append(p)
+                                    continue
+                            q.append((p, vc_l[i], il, now))
+                            if obs_on:
+                                depths.append(len(q))
+                            if faults_on and not link_ok[lid]:
+                                continue  # dead link: no dispatch, no wake
+                            lf = link_free[lid]
+                            if lf <= now_rl:
+                                try_dispatch(lid, now_rl)
+                            elif not wake_scheduled[lid]:
+                                wake_scheduled[lid] = True
+                                if lf <= end_time:
+                                    wake_buckets[lf].append(lid)
+                    # Same-cycle wake arms append to this cycle's list while the
+                    # loop runs; the index-based list iterator picks them up in
+                    # push order, matching the reference heap.
+                    for lid in wake_buckets[now]:
+                        wake_scheduled[lid] = False
+                        try_dispatch(lid, now)
+                    if w_pid:
+                        kernel.record_sends(arrays, w_pid, w_vc, w_lid, ends_v_arr)
+                        w_pid.clear()
+                        w_vc.clear()
+                        w_lid.clear()
+        finally:
+            # try_dispatch and reroute_entry call each other; emptying
+            # their cells breaks the closure cycle that would keep this
+            # run's state alive until the next full collection.
+            del try_dispatch, reroute_entry
 
         # ---- flush + result (identical arithmetic to the reference) -------
         link_busy_arr = links.busy_array()

@@ -172,6 +172,13 @@ class ReferencePacketSimulator:
         self.health = router.health if isinstance(router, FaultAwareRouter) else None
 
         g = topology.graph
+        hg = self.health.graph if self.health is not None else g
+        if hg is not g and not (
+            np.array_equal(hg.indptr, g.indptr) and np.array_equal(hg.indices, g.indices)
+        ):
+            raise ValueError("the health mask's graph is not the topology's graph")
+        # Link ids are CSR entry positions, so the health mask's per-entry
+        # views are per-link vectors.
         self.link_id: dict[tuple[int, int], int] = {}
         ends: list[tuple[int, int]] = []
         for u in range(g.n):
@@ -405,11 +412,16 @@ class ReferencePacketSimulator:
         wake_scheduled = np.zeros(self.num_links, dtype=bool)
         # Pending escape-check wake per link (dedupes heap pushes).
         escape_at = np.full(self.num_links, -1, dtype=np.int64)
+
+        def refresh_links() -> None:
+            """Per-link health mirrors from the mask (link ids are CSR
+            entry positions, see ``__init__``)."""
+            link_ok[:] = health.entry_up()
+            link_ser[:] = np.ceil(cfg.packet_size * health.entry_factor()).astype(np.int64)
+
         if faults_on:
             # A pre-degraded mask (no schedule) must be visible from cycle 0.
-            for lid, (u, v) in enumerate(self.ends):
-                link_ok[lid] = health.is_up(u, v)
-                link_ser[lid] = int(np.ceil(cfg.packet_size * health.degrade_factor(u, v)))
+            refresh_links()
 
         latencies: list[int] = []
         hop_total = 0
@@ -499,9 +511,7 @@ class ReferencePacketSimulator:
             applied_events[ev.kind] = applied_events.get(ev.kind, 0) + 1
             self._nh_cache.clear()
             self.router.sync()  # budgeted eager recompute at event time
-            for lid, (u, v) in enumerate(self.ends):
-                link_ok[lid] = health.is_up(u, v)
-                link_ser[lid] = int(np.ceil(cfg.packet_size * health.degrade_factor(u, v)))
+            refresh_links()
             for lid in range(self.num_links):
                 if link_ok[lid] or not waiting[lid]:
                     continue
@@ -577,63 +587,70 @@ class ReferencePacketSimulator:
 
         # ---- main loop ----
         end_time = horizon + cfg.drain_cycles
-        with obs.span("sim.packet.events"):
-            while events:
-                now, kind, _, payload = heapq.heappop(events)
-                if now > end_time:
-                    break
-                if kind == FAULT:
-                    apply_fault(payload, now)
-                    continue
-                if kind == WAKE:
-                    lid = payload  # type: ignore[assignment]
-                    wake_scheduled[lid] = False
-                    try_dispatch(lid, now)
-                    continue
+        try:
+            with obs.span("sim.packet.events"):
+                while events:
+                    now, kind, _, payload = heapq.heappop(events)
+                    if now > end_time:
+                        break
+                    if kind == FAULT:
+                        apply_fault(payload, now)
+                        continue
+                    if kind == WAKE:
+                        lid = payload  # type: ignore[assignment]
+                        wake_scheduled[lid] = False
+                        try_dispatch(lid, now)
+                        continue
 
-                pkt: _Packet = payload  # type: ignore[assignment]
-                if faults_on and not health.node_up(pkt.router):
-                    # The packet was in flight toward a router that died.
-                    drop(pkt, "node_down", now)
-                    continue
-                if pkt.in_link < 0 and self.adaptive and pkt.router == pkt.src:
-                    if faults_on:
-                        try:
+                    pkt: _Packet = payload  # type: ignore[assignment]
+                    if faults_on and not health.node_up(pkt.router):
+                        # The packet was in flight toward a router that died.
+                        drop(pkt, "node_down", now)
+                        continue
+                    if pkt.in_link < 0 and self.adaptive and pkt.router == pkt.src:
+                        if faults_on:
+                            try:
+                                choose_route(pkt)
+                            except RouteUnavailableError:
+                                drop(pkt, "unreachable", now)
+                                continue
+                        else:
                             choose_route(pkt)
+                    if pkt.intermediate == pkt.router:
+                        pkt.intermediate = -1
+                    if pkt.router == pkt.dest:
+                        release(pkt, now)  # ejection frees the buffer immediately
+                        if cfg.warmup_cycles <= pkt.birth < horizon:
+                            latencies.append(now - pkt.birth)
+                            hop_total += pkt.hops
+                            delivered_measured += 1
+                        if obs_on and pkt.hops > max_hops_seen:
+                            max_hops_seen = pkt.hops
+                        continue
+                    if faults_on:
+                        if pkt.hops >= cfg.ttl_hops:
+                            drop(pkt, "ttl", now)  # livelock guard under detours
+                            continue
+                        try:
+                            nxt = route_next(pkt)
                         except RouteUnavailableError:
                             drop(pkt, "unreachable", now)
                             continue
                     else:
-                        choose_route(pkt)
-                if pkt.intermediate == pkt.router:
-                    pkt.intermediate = -1
-                if pkt.router == pkt.dest:
-                    release(pkt, now)  # ejection frees the buffer immediately
-                    if cfg.warmup_cycles <= pkt.birth < horizon:
-                        latencies.append(now - pkt.birth)
-                        hop_total += pkt.hops
-                        delivered_measured += 1
-                    if obs_on and pkt.hops > max_hops_seen:
-                        max_hops_seen = pkt.hops
-                    continue
-                if faults_on:
-                    if pkt.hops >= cfg.ttl_hops:
-                        drop(pkt, "ttl", now)  # livelock guard under detours
-                        continue
-                    try:
-                        nxt = route_next(pkt)
-                    except RouteUnavailableError:
-                        drop(pkt, "unreachable", now)
-                        continue
-                else:
-                    target = pkt.intermediate if pkt.intermediate >= 0 else pkt.dest
-                    nxt = self._next_hop(pkt.router, target)
-                lid = self.link_id[(pkt.router, nxt)]
-                pkt.enq = now
-                waiting[lid].append(pkt)
-                if obs_on:
-                    qdepth.observe(len(waiting[lid]))
-                try_dispatch(lid, now + cfg.router_latency)
+                        target = pkt.intermediate if pkt.intermediate >= 0 else pkt.dest
+                        nxt = self._next_hop(pkt.router, target)
+                    lid = self.link_id[(pkt.router, nxt)]
+                    pkt.enq = now
+                    waiting[lid].append(pkt)
+                    if obs_on:
+                        qdepth.observe(len(waiting[lid]))
+                    try_dispatch(lid, now + cfg.router_latency)
+        finally:
+            # route_next calls itself and try_dispatch and reroute call
+            # each other; emptying their cells breaks the closure cycles
+            # that would keep this run's state alive until the next full
+            # collection.
+            del route_next, reroute, try_dispatch
 
         if obs_on:
             faults_bundle = None

@@ -81,14 +81,17 @@ class LinkState:
         self.wake_scheduled = [False] * m
         self.escape_at = [-1] * m
 
-    def refresh_health(self, ends, packet_size: int, health) -> None:
+    def refresh_health(self, packet_size: int, health) -> None:
         """Re-derive ``link_ok`` / ``link_ser`` from the shared health mask
-        (run start with a pre-degraded mask, and after every fault event)."""
-        link_ok = self.link_ok
-        link_ser = self.link_ser
-        for lid, (u, v) in enumerate(ends):
-            link_ok[lid] = health.is_up(u, v)
-            link_ser[lid] = int(np.ceil(packet_size * health.degrade_factor(u, v)))
+        (run start with a pre-degraded mask, and after every fault event).
+
+        Link ids are CSR entry positions, so this is one array pass over
+        the health's per-entry views, written in place: the loops hold
+        these lists as locals.
+        """
+        self.link_ok[:] = health.entry_up().tolist()
+        ser = np.ceil(packet_size * health.entry_factor()).astype(np.int64)
+        self.link_ser[:] = ser.tolist()
 
     def busy_array(self) -> np.ndarray:
         return np.asarray(self.link_busy, dtype=np.int64)

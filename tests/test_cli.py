@@ -119,6 +119,28 @@ class TestCommands:
         msg = str(exc.value.code)
         assert msg.startswith("invalid packet-sim input:") and "\n" not in msg
 
+    @pytest.mark.parametrize("argv", [
+        ["faults", "inject", "--radix", "7", "--fail-links", "1.5"],
+        ["faults", "inject", "--radix", "7", "--degrade-factor", "0.5"],
+        ["faults", "inject", "--radix", "7", "--degrade-links", "0.2",
+         "--degrade-factor", "inf"],
+        ["faults", "inject", "--radix", "7", "--fail-nodes", "100000"],
+        ["faults", "inject", "--radix", "7", "--fail-links", "nan"],
+        ["sim", "--radix", "7", "--fail-links", "1.5"],
+        ["faults", "schedule", "--scale", "reduced", "--fail-links", "1.5"],
+    ])
+    def test_bad_fault_knobs_rejected_in_one_line(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        msg = str(exc.value.code)
+        assert msg.startswith("invalid fault schedule:") and "\n" not in msg
+
+    def test_faults_inject_with_empty_schedule(self, capsys):
+        assert main(["faults", "inject", "--radix", "7", "--measure-cycles", "200",
+                     "--warmup-cycles", "50", "--drain-cycles", "200"]) == 0
+        out = capsys.readouterr().out
+        assert "FaultSchedule(0 events, {})" in out and "rungs={}" in out
+
     def test_serve_bench_writes_report(self, tmp_path, capsys):
         out_path = tmp_path / "bench.json"
         assert main([

@@ -1,9 +1,12 @@
 """Tests for the repro.faults subsystem and its simulator integration."""
 
+import json
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.analysis.distances import average_path_length, diameter
+from repro.analysis.distances import average_path_length, bfs_distances, diameter
 from repro.analysis.faults import (
     ConnectivityProber,
     disconnection_ratio,
@@ -21,9 +24,10 @@ from repro.faults import (
     node_failures,
     permanent_link_failures,
 )
+from repro.graphs import Graph, er_polarity_graph
 from repro.routing import PolarStarRouter, TableRouter
 from repro.sim.packet import PacketSimConfig, PacketSimulator
-from repro.topologies import polarstar_topology
+from repro.topologies import dragonfly_topology, polarstar_topology
 from repro.traffic import UniformRandomPattern
 
 FAST = PacketSimConfig(warmup_cycles=300, measure_cycles=1200, drain_cycles=1500, seed=1)
@@ -39,7 +43,212 @@ def graph(small_ps):
     return small_ps.graph
 
 
+class _SetModel:
+    """Independent oracle: replays fault events into plain sets and dicts
+    and answers every health question with Python loops over them."""
+
+    def __init__(self, graph, events):
+        self.graph = graph
+        self.down_links: set[tuple[int, int]] = set()
+        self.down_nodes: set[int] = set()
+        self.degraded: dict[tuple[int, int], float] = {}
+        for ev in events:
+            if ev.is_node_event:
+                if ev.kind == "node_down":
+                    self.down_nodes.add(ev.u)
+                else:
+                    self.down_nodes.discard(ev.u)
+            elif ev.kind == "link_degrade":
+                self.degraded[ev.edge()] = ev.factor
+            else:
+                self.degraded.pop(ev.edge(), None)
+                if ev.kind == "link_down":
+                    self.down_links.add(ev.edge())
+                else:
+                    self.down_links.discard(ev.edge())
+
+    def up(self, u, v):
+        e = (u, v) if u < v else (v, u)
+        return (
+            u not in self.down_nodes
+            and v not in self.down_nodes
+            and e not in self.down_links
+        )
+
+    def bfs(self, source):
+        """The level-synchronous Python BFS ``LinkHealth.bfs_from`` used
+        to run, over the set model."""
+        g = self.graph
+        dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
+        if source in self.down_nodes:
+            return dist
+        dist[source] = 0
+        frontier = [source]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for v in g.neighbors(u):
+                    vi = int(v)
+                    if dist[vi] == UNREACHABLE and self.up(u, vi):
+                        dist[vi] = d
+                        nxt.append(vi)
+            frontier = nxt
+        return dist
+
+    def healthy_graph(self):
+        g = self.graph
+        edges = [(u, v) for u, v in g.edges() if self.up(u, v)]
+        loops = [int(v) for v in g.self_loops if int(v) not in self.down_nodes]
+        return Graph(g.n, edges, self_loops=loops)
+
+    def links_down_count(self):
+        dead = set(self.down_links)
+        for x in self.down_nodes:
+            for v in self.graph.neighbors(x):
+                vi = int(v)
+                dead.add((x, vi) if x < vi else (vi, x))
+        return len(dead)
+
+
+def _mixed_events(graph, seed, steps=60):
+    """Seeded interleaving of every event kind (degrades of down links and
+    restores of healthy ones included)."""
+    rng = np.random.default_rng(seed)
+    kinds = ("link_down", "link_down", "link_up", "link_degrade", "node_down", "node_up")
+    events = []
+    for t in range(steps):
+        kind = kinds[int(rng.integers(0, len(kinds)))]
+        if kind.startswith("node"):
+            events.append(FaultEvent(t, kind, int(rng.integers(0, graph.n))))
+            continue
+        u, v = map(int, graph.edge_array[int(rng.integers(0, graph.m))])
+        factor = float(rng.choice([1.0, 1.5, 2.0, 3.25])) if kind == "link_degrade" else 1.0
+        events.append(FaultEvent(t, kind, u, v, factor=factor))
+    return events
+
+
+ORACLE_GRAPHS = {
+    "ps": lambda: polarstar_topology(7, p=2).graph,
+    "df": lambda: dragonfly_topology(4, 2).graph,
+    "er5": lambda: er_polarity_graph(5),  # has self-loops
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_GRAPHS))
+def oracle_graph(request):
+    return ORACLE_GRAPHS[request.param]()
+
+
+class TestKernelOracles:
+    """LinkHealth's array kernels against the independent set model."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bfs_from_every_source(self, oracle_graph, seed):
+        events = _mixed_events(oracle_graph, seed)
+        h = LinkHealth(oracle_graph)
+        h.apply_schedule(FaultSchedule(events))
+        model = _SetModel(oracle_graph, events)
+        assert model.down_nodes and model.down_links  # the mix is exercised
+        scipy_bfs = bfs_distances(h.healthy_graph(), np.arange(oracle_graph.n))
+        for src in range(oracle_graph.n):
+            got = h.bfs_from(src)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, model.bfs(src))
+            if src in model.down_nodes:
+                continue  # the healthy graph keeps a down node, isolated
+            ref = scipy_bfs[src]
+            np.testing.assert_array_equal(
+                got, np.where(np.isinf(ref), UNREACHABLE, ref).astype(np.int64)
+            )
+        np.testing.assert_array_equal(
+            h.bfs_many(range(oracle_graph.n)),
+            np.stack([h.bfs_from(s) for s in range(oracle_graph.n)]),
+        )
+
+    def test_down_source_reaches_nothing(self, oracle_graph):
+        h = LinkHealth(oracle_graph)
+        h.apply(FaultEvent(0, "node_down", 3))
+        assert (h.bfs_from(3) == UNREACHABLE).all()
+        rows = h.bfs_many([0, 3, 1])
+        assert (rows[1] == UNREACHABLE).all()
+        assert rows[0, 0] == 0 and rows[2, 1] == 0 and rows[0, 3] == UNREACHABLE
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entry_views_match_per_link_loop(self, oracle_graph, seed):
+        events = _mixed_events(oracle_graph, seed)
+        h = LinkHealth(oracle_graph)
+        h.apply_schedule(FaultSchedule(events))
+        model = _SetModel(oracle_graph, events)
+        up, factor = h.entry_up(), h.entry_factor()
+        g = oracle_graph
+        lid = 0
+        for u in range(g.n):
+            for v in map(int, g.neighbors(u)):
+                assert up[lid] == h.is_up(u, v) == model.up(u, v)
+                e = (u, v) if u < v else (v, u)
+                assert factor[lid] == h.degrade_factor(u, v) == model.degraded.get(e, 1.0)
+                lid += 1
+        assert lid == len(up) == len(factor)
+        with pytest.raises(ValueError):
+            factor[0] = 9.0  # a read-only view
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_healthy_graph_and_links_down(self, oracle_graph, seed):
+        events = _mixed_events(oracle_graph, seed)
+        h = LinkHealth(oracle_graph)
+        h.apply_schedule(FaultSchedule(events))
+        model = _SetModel(oracle_graph, events)
+        assert h.healthy_graph() == model.healthy_graph()
+        assert h.links_down_count() == model.links_down_count()
+        assert h.clean == (not model.down_links and not model.down_nodes and not model.degraded)
+
+    def test_cached_column_recomputed_after_apply(self, oracle_graph):
+        g = oracle_graph
+        h = LinkHealth(g)
+        router = FaultAwareRouter(TableRouter(g), h)
+        h.apply(FaultEvent(0, "link_down", *map(int, g.edge_array[0])))
+        dest = int(g.edge_array[0, 1])
+
+        def column():
+            return np.array([router.distance(s, dest) for s in range(g.n)])
+
+        before = column()
+        assert router.recompute_lazy == 1
+        # Cut every link into dest but one: its cached column must change.
+        nbrs = [int(v) for v in g.neighbors(dest)]
+        events = [FaultEvent(1, "link_down", dest, v) for v in nbrs[1:]]
+        for ev in events:
+            h.apply(ev)
+        after = column()
+        assert router.recompute_eager == 1 and router.recompute_lazy == 1
+        model = _SetModel(g, [FaultEvent(0, "link_down", *map(int, g.edge_array[0]))] + events)
+        np.testing.assert_array_equal(after, model.bfs(dest))
+        assert not np.array_equal(before, after)
+
+
 class TestFaultModel:
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -float("inf"), 0.5, 0.0])
+    def test_degrade_factor_must_be_finite_slowdown(self, graph, factor):
+        with pytest.raises(ValueError):
+            FaultEvent(0, "link_degrade", 0, 1, factor=factor)
+        with pytest.raises(ValueError):
+            degraded_links(graph, 0.1, factor=factor)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "0.5"])
+    def test_json_degrade_factor_rejected(self, literal):
+        obj = json.loads(
+            '{"time": 0, "kind": "link_degrade", "u": 0, "v": 1, "factor": %s}' % literal
+        )
+        with pytest.raises(ValueError):
+            FaultEvent.from_jsonable(obj)
+
+    @pytest.mark.parametrize("factor", [1.0, 2.5])
+    def test_degrade_factor_accepted(self, graph, factor):
+        assert FaultEvent(0, "link_degrade", 0, 1, factor=factor).factor == factor
+        assert len(degraded_links(graph, 0.1, factor=factor)) == round(0.1 * graph.m)
+
     def test_event_validation(self):
         with pytest.raises(ValueError):
             FaultEvent(0, "meteor_strike", 0, 1)

@@ -1,8 +1,12 @@
 """Tests for the event-driven packet-level simulator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.faults import FaultAwareRouter, LinkHealth, permanent_link_failures
 from repro.routing import PolarStarRouter, TableRouter
 from repro.sim.packet import PacketSimConfig, PacketSimulator, latency_load_sweep
 from repro.topologies import dragonfly_topology, polarstar_topology
@@ -90,6 +94,41 @@ class TestInputBoundary:
             )
             with pytest.raises(ValueError, match="load"):
                 sim.run(value)
+
+
+class TestRunLifetime:
+    @pytest.mark.parametrize("engine", ["soa", "reference"])
+    @pytest.mark.parametrize("kind", ["faults", "ugal"])
+    def test_run_state_freed_without_gc(self, small_ps, engine, kind):
+        """run() leaves no reference cycle behind: the simulator (and the
+        packet, bucket and link state its closures hold) dies on ``del``,
+        with the cyclic collector off."""
+        cfg = PacketSimConfig(warmup_cycles=50, measure_cycles=200, drain_cycles=200, seed=1)
+        faults = (
+            permanent_link_failures(small_ps.graph, 0.1, seed=3) if kind == "faults" else None
+        )
+        sim = PacketSimulator(
+            small_ps, TableRouter(small_ps.graph), UniformRandomPattern(small_ps), cfg,
+            adaptive=kind == "ugal", faults=faults, engine=engine,
+        )
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim.run(0.3)
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_health_graph_must_be_the_topology_graph(self, small_ps, small_df):
+        """Link ids are CSR positions of the topology graph, so a health
+        mask over another graph is refused at construction."""
+        g = small_df.graph
+        router = FaultAwareRouter(TableRouter(g), LinkHealth(g))
+        with pytest.raises(ValueError, match="topology"):
+            PacketSimulator(small_ps, router, UniformRandomPattern(small_ps), FAST)
 
 
 class TestAnalyticRouterInSim:

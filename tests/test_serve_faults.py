@@ -335,6 +335,22 @@ class TestServedEpochs:
             assert excbad.value.code == 400
             assert client.fault_status()[TOPO]["epoch"] == 0
 
+    def test_non_finite_degrade_factor_is_400(self, live_server, base_shard):
+        """The JSON literals NaN and Infinity reach the server as factors;
+        they are refused with 400 and leave the epoch where it was."""
+        server = live_server()
+        u, v = map(int, base_shard.graph.edge_array[0])
+        with ServeClient("127.0.0.1", server.port) as client:
+            for factor in (float("nan"), float("inf")):
+                with pytest.raises(ServeError) as exc:
+                    client.request({
+                        "op": "faults", "action": "apply", "topology": TOPO,
+                        "events": [{"time": 0, "kind": "link_degrade",
+                                    "u": u, "v": v, "factor": factor}],
+                    })
+                assert exc.value.code == 400 and "factor" in str(exc.value)
+            assert client.fault_status()[TOPO]["epoch"] == 0
+
     def test_swap_never_splits_an_inflight_batch(
         self, live_server, base_shard, sample_events
     ):
