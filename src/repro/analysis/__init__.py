@@ -6,6 +6,7 @@ from repro.analysis.distances import (
     diameter,
     distance_matrix,
     eccentricity,
+    hop_distances,
 )
 from repro.analysis.bisection import bisection_fraction, min_bisection
 from repro.analysis.cost import CostParameters, CostReport, cost_report
@@ -20,6 +21,7 @@ __all__ = [
     "diameter",
     "distance_matrix",
     "eccentricity",
+    "hop_distances",
     "bisection_fraction",
     "min_bisection",
     "FaultSweepResult",

@@ -18,14 +18,17 @@ loop and the swap is a single assignment, an in-flight coalesced batch
 never straddles two epochs.
 
 **Parity contract.**  An overlay is built by
-``build_distance_table(health.healthy_graph())`` — the same BFS builder
-the store uses for pristine tables, on the healthy subgraph the mask
-defines.  ``FaultAwareRouter`` routes on ``LinkHealth.bfs_from``, the same
-SciPy BFS over the CSR of that subgraph.  Served distances under an epoch
-are therefore byte-equal to offline fault-aware routing on the same mask
-(``tests/test_serve_faults.py`` asserts this), with the
-int16 sentinel mapped to ``-1``/``None`` on the wire exactly like
-:data:`~repro.faults.health.UNREACHABLE` marks cut-off vertices offline.
+``build_distance_table(health.healthy_graph())`` — the same builder the
+store uses for pristine tables, on the healthy subgraph the mask
+defines; its BFS is the bitset kernel
+:func:`~repro.analysis.distances.hop_distances`.  ``FaultAwareRouter``
+routes on ``LinkHealth.bfs_from``, SciPy's BFS over the CSR of that
+subgraph.  BFS distances are unique, so served distances under an epoch
+are byte-equal to offline fault-aware routing on the same mask across
+the two implementations (``tests/test_serve_faults.py`` asserts this),
+with the int16 sentinel mapped to ``-1``/``None`` on the wire exactly
+like :data:`~repro.faults.health.UNREACHABLE` marks cut-off vertices
+offline.
 
 **Store bypass.**  Epoch tables are deliberately *not* store artifacts:
 the content-addressed cache holds durable, pristine state only

@@ -451,6 +451,20 @@ class TestServeDiscipline:
         )
         assert codes(out) == ["RL112", "RL112"]
 
+    def test_bfs_kernel_in_async_handler_triggers(self, tmp_path):
+        out = lint_source(
+            tmp_path,
+            """
+            from repro.analysis.distances import hop_distances
+
+            async def handle(graph, req):
+                return hop_distances(graph, req["sources"])
+            """,
+            "RL112",
+            relpath=self.SERVE_RELPATH,
+        )
+        assert codes(out) == ["RL112"]
+
     def test_sync_store_call_in_serve_passes(self, tmp_path):
         out = lint_source(
             tmp_path,

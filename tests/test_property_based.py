@@ -34,6 +34,16 @@ def small_graphs_with_bijection(draw):
 
 
 @st.composite
+def seeded_random_graphs(draw, max_n=140):
+    """Sparse random graphs from a drawn seed: up to a few words of
+    vertices, with isolated vertices and several components."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = rng.integers(0, n, size=(int(draw(st.floats(0.0, 6.0)) * n / 2), 2))
+    return Graph(n, e[e[:, 0] != e[:, 1]])
+
+
+@st.composite
 def connected_small_graphs(draw):
     n = draw(st.integers(2, 10))
     # spanning path + random extras guarantees connectivity
@@ -159,6 +169,26 @@ def test_table_router_paths_are_shortest(g, data):
     u = data.draw(st.integers(0, g.n - 1))
     v = data.draw(st.integers(0, g.n - 1))
     assert router.distance(u, v) == nx.shortest_path_length(nxg, u, v)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seeded_random_graphs(), st.data())
+def test_hop_distances_match_scipy_bfs(g, data):
+    """The bitset BFS kernel equals SciPy's BFS, sentinel for unreachable."""
+    from scipy.sparse.csgraph import shortest_path
+
+    from repro.analysis import hop_distances
+    from repro.routing.table import build_distance_table
+
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+    d = shortest_path(g.csr(), unweighted=True, indices=sources)
+    expected = np.where(np.isinf(d), np.iinfo(np.int16).max, d).astype(np.int16)
+    got = hop_distances(g, sources)
+    assert got.dtype == np.int16
+    np.testing.assert_array_equal(got, expected.reshape(len(sources), g.n))
+    table = build_distance_table(g)
+    np.testing.assert_array_equal(table[sources], got)
+    np.testing.assert_array_equal(table, table.T)
 
 
 # -- flow conservation -----------------------------------------------------------

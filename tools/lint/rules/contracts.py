@@ -439,6 +439,7 @@ _BLOCKING_IN_ASYNC_PATTERNS = (
     "repro.store.*",
     "build_distance_table",
     "bfs_distances",
+    "hop_distances",
     "*registry.load",
     "*.warm",
     "time.sleep",
@@ -456,10 +457,11 @@ class ServeDiscipline(Rule):
        context: the engine, client, bench, experiments, the CLI.
     2. **No blocking calls in async handlers** — inside an ``async def``
        in the serve package, store resolution (``store.*``), raw table
-       builds (``build_distance_table`` / ``bfs_distances``), shard
-       loading (``*registry.load``, ``*.warm``) and ``time.sleep`` are
-       forbidden: tables are resolved on the synchronous startup/warm
-       path, never while the loop should be answering queries.
+       builds (``build_distance_table`` / ``bfs_distances`` /
+       ``hop_distances``), shard loading (``*registry.load``,
+       ``*.warm``) and ``time.sleep`` are forbidden: tables are resolved
+       on the synchronous startup/warm path, never while the loop should
+       be answering queries.
     """
 
     code = "RL112"
