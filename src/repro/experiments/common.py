@@ -10,11 +10,13 @@ import numpy as np
 
 from repro import obs, store
 from repro.routing.base import Router
+from repro.sim.flow import link_loads, saturation, ugal_saturation_load
 from repro.topologies.base import Topology
 
 __all__ = [
     "geometric_mean",
     "obs_session",
+    "saturation_row",
     "table3_instance",
     "table3_router",
     "format_table",
@@ -65,6 +67,18 @@ def table3_instance(name: str, scale: str = "full") -> Topology:
 def table3_router(name: str, scale: str = "full") -> tuple[Router, str]:
     """Cached (router, flow-mode) pair for a Table 3 topology."""
     return store.table3_router(name, scale=scale)
+
+
+def saturation_row(
+    topo: Topology, router: Router, mode: str, demand: np.ndarray, with_ugal: bool
+) -> tuple[dict, np.ndarray]:
+    """One Fig. 9/10 flow cell: the MIN saturation of *demand* and, when
+    *with_ugal*, UGAL's from the same MIN loads; returns them with the loads."""
+    loads = link_loads(topo, router, demand, mode=mode)
+    row = {"min_saturation": saturation(loads)}
+    if with_ugal:
+        row["ugal_saturation"] = ugal_saturation_load(topo, router, demand, mode, loads=loads)
+    return row, loads
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], floatfmt: str = ".3f") -> str:

@@ -16,8 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.common import format_table, table3_instance, table3_router
-from repro.sim.flow import latency_curve, link_loads, saturation_load, ugal_saturation_load
+from repro.experiments.common import (
+    format_table,
+    saturation_row,
+    table3_instance,
+    table3_router,
+)
+from repro.sim.flow import latency_curve
 from repro.sim.packet import PacketSimConfig, latency_load_sweep
 from repro.topologies.base import Topology
 from repro.traffic import (
@@ -72,15 +77,8 @@ def run(
         router, mode = table3_router(name)
         for pattern in patterns:
             demand = pattern_demand(topo, pattern)
-            loads = link_loads(topo, router, demand, mode=mode)
-            peak = loads.max() if len(loads) else 0.0
-            sat_min = min(1.0, 1.0 / peak) if peak > 0 else 1.0
-            row = {"topology": name, "pattern": pattern, "min_saturation": sat_min}
-            if with_ugal:
-                row["ugal_saturation"] = ugal_saturation_load(
-                    topo, router, demand, mode=mode
-                )
-            rows.append(row)
+            row, loads = saturation_row(topo, router, mode, demand, with_ugal)
+            rows.append({"topology": name, "pattern": pattern, **row})
             if with_curves:
                 curves[(name, pattern)] = latency_curve(
                     topo, router, demand, loads=loads, mode=mode
@@ -111,15 +109,8 @@ def run_trial(params: dict, fidelity: str = "flow", attempt: int = 1) -> dict:
     topo = table3_instance(name)
     router, mode = table3_router(name)
     demand = pattern_demand(topo, pattern)
-    loads = link_loads(topo, router, demand, mode=mode)
-    peak = loads.max() if len(loads) else 0.0
-    sat_min = min(1.0, 1.0 / peak) if peak > 0 else 1.0
-    row = {"topology": name, "pattern": pattern, "min_saturation": float(sat_min)}
-    if params.get("with_ugal", True):
-        row["ugal_saturation"] = float(
-            ugal_saturation_load(topo, router, demand, mode=mode)
-        )
-    return {"row": row}
+    row, _ = saturation_row(topo, router, mode, demand, params.get("with_ugal", True))
+    return {"row": {"topology": name, "pattern": pattern, **row}}
 
 
 def merge_trials(opts: dict, outcomes: list[dict]) -> dict:

@@ -9,8 +9,12 @@ to its larger share of global links; UGAL recovers much of the loss.
 
 from __future__ import annotations
 
-from repro.experiments.common import format_table, table3_instance, table3_router
-from repro.sim.flow import saturation_load, ugal_saturation_load
+from repro.experiments.common import (
+    format_table,
+    saturation_row,
+    table3_instance,
+    table3_router,
+)
 from repro.traffic import AdversarialGroupPattern
 
 __all__ = [
@@ -31,19 +35,15 @@ TRIAL_FIDELITY = "flow"
 
 def run(names=HIERARCHICAL, with_ugal: bool = True) -> dict:
     """Adversarial-pattern saturation per hierarchical topology."""
-    rows = []
-    for name in names:
-        topo = table3_instance(name)
-        router, mode = table3_router(name)
-        demand = AdversarialGroupPattern(topo).router_demand()
-        row = {
-            "topology": name,
-            "min_saturation": saturation_load(topo, router, demand, mode=mode),
-        }
-        if with_ugal:
-            row["ugal_saturation"] = ugal_saturation_load(topo, router, demand, mode=mode)
-        rows.append(row)
-    return {"rows": rows}
+    return {"rows": [_row(name, with_ugal) for name in names]}
+
+
+def _row(name: str, with_ugal: bool) -> dict:
+    topo = table3_instance(name)
+    router, mode = table3_router(name)
+    demand = AdversarialGroupPattern(topo).router_demand()
+    row, _ = saturation_row(topo, router, mode, demand, with_ugal)
+    return {"topology": name, **row}
 
 
 # -- trial API (repro.runtime) ------------------------------------------------
@@ -58,19 +58,7 @@ def plan_trials(opts: dict) -> list[dict]:
 
 def run_trial(params: dict, fidelity: str = "flow", attempt: int = 1) -> dict:
     """Compute one adversarial saturation row (JSON-safe; workers call this)."""
-    name = params["topology"]
-    topo = table3_instance(name)
-    router, mode = table3_router(name)
-    demand = AdversarialGroupPattern(topo).router_demand()
-    row = {
-        "topology": name,
-        "min_saturation": float(saturation_load(topo, router, demand, mode=mode)),
-    }
-    if params.get("with_ugal", True):
-        row["ugal_saturation"] = float(
-            ugal_saturation_load(topo, router, demand, mode=mode)
-        )
-    return {"row": row}
+    return {"row": _row(params["topology"], params.get("with_ugal", True))}
 
 
 def merge_trials(opts: dict, outcomes: list[dict]) -> dict:

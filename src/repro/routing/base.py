@@ -107,6 +107,20 @@ class Router(ABC):
             raise ValueError(f"no next hop from {current} to {dest}")
         return int(hops[0])
 
+    def next_hop_batch(self, current: np.ndarray, dest: np.ndarray) -> np.ndarray:
+        """:meth:`next_hop` of every pair ``(current[i], dest[i])`` as int64,
+        ``-1`` where ``current == dest`` or *dest* is unreachable.  This
+        default asks :meth:`next_hop` pair by pair; routers with an array
+        kernel override it."""
+        hop = self.next_hop
+        out: list[int] = []
+        for u, t in zip(np.asarray(current).tolist(), np.asarray(dest).tolist()):
+            try:
+                out.append(hop(u, t) if u != t else -1)
+            except ValueError:
+                out.append(-1)  # unreachable
+        return np.array(out, dtype=np.int64)
+
 
 def route_path(router: Router, src: int, dest: int, max_hops: int = 64) -> list[int]:
     """Follow ``router.next_hop`` from *src* to *dest*; returns the vertex

@@ -119,11 +119,10 @@ def next_hop_table(router: Router) -> np.ndarray:
     """Dense single-next-hop matrix ``T`` with ``T[u, t] == router.next_hop(u, t)``.
 
     Read-only ``(n, n)`` int32; the diagonal and unreachable pairs hold
-    ``-1``.  For a :class:`TableRouter` the whole matrix is produced by the
-    vectorized :func:`first_minimal_hops` kernel over its shared distance
-    table; any other policy is sampled pair-by-pair (a one-time ``O(n²)``
-    cost, memoized per router object).  The fault-free packet-engine loops
-    read routes from it instead of calling ``next_hop`` once per event.
+    ``-1``.  The matrix is one :meth:`~repro.routing.base.Router.next_hop_batch`
+    call over all ``n²`` pairs (a one-time cost, memoized per router
+    object).  The fault-free packet-engine loops read routes from it
+    instead of calling ``next_hop`` once per event.
     """
     try:
         cached = _NEXT_HOP_TABLES.get(router)
@@ -137,23 +136,9 @@ def next_hop_table(router: Router) -> np.ndarray:
         help="dense next-hop-table constructions performed by this process",
     ).inc()
     with obs.span("routing.nexthop_table"):
-        if isinstance(router, TableRouter):
-            cur = np.repeat(np.arange(n, dtype=np.int64), n)
-            dst = np.tile(np.arange(n, dtype=np.int64), n)
-            tab = first_minimal_hops(router.graph, router.dist, cur, dst)
-            tab = tab.reshape(n, n).astype(np.int32)
-        else:
-            tab = np.full((n, n), -1, dtype=np.int32)
-            for u in range(n):
-                row = tab[u]
-                hop = router.next_hop
-                for t in range(n):
-                    if t == u:
-                        continue
-                    try:
-                        row[t] = hop(u, t)
-                    except ValueError:
-                        pass  # unreachable pair stays -1
+        cur = np.repeat(np.arange(n, dtype=np.int64), n)
+        dst = np.tile(np.arange(n, dtype=np.int64), n)
+        tab = router.next_hop_batch(cur, dst).reshape(n, n).astype(np.int32)
     tab.setflags(write=False)
     try:
         _NEXT_HOP_TABLES[router] = tab
@@ -189,6 +174,9 @@ class TableRouter(Router):
         nbrs = self.graph.neighbors(current)
         closer = nbrs[self.dist[nbrs, dest] == self.dist[current, dest] - 1]
         return HopView(closer)
+
+    def next_hop_batch(self, current: np.ndarray, dest: np.ndarray) -> np.ndarray:
+        return first_minimal_hops(self.graph, self.dist, current, dest)
 
     def num_minimal_paths(self, src: int, dest: int) -> int:
         """Count of distinct minimal paths (path-diversity metric)."""

@@ -8,13 +8,17 @@ cycle), capped at 1 — exactly the quantity the latency-vs-load plots of
 Fig. 9/10 saturate at.  This runs at full Table 3 scale where the
 cycle-level simulator cannot.
 
-Routing modes:
+Routing modes, one array path each:
 
 * ``all`` — traffic splits evenly over all minimal next hops at every
-  router (what Booksim's table-based MIN with random tie-breaking does);
+  router (what Booksim's table-based MIN with random tie-breaking does):
+  the graph's minimal-path DAG whatever the router, walked level by level
+  over a BFS table (``TableRouter.dist``, else the store's);
 * ``single`` — traffic follows the router's single deterministic next hop
-  (PolarStar's analytic routing, Dragonfly l-g-l).
+  (PolarStar's analytic routing, Dragonfly l-g-l): all demanded pairs walk
+  in lockstep, one ``Router.next_hop_batch`` call per hop.
 
+Demand towards an unreachable router raises ``ValueError`` in both modes.
 Valiant and UGAL are modeled on top: Valiant = two minimal phases through a
 uniformly random intermediate; UGAL = the best fixed minimal/Valiant split,
 a standard throughput-level approximation of per-packet adaptivity.
@@ -24,29 +28,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import obs
+from repro import obs, store
+from repro.graphs.base import Graph
 from repro.routing.base import Router
+from repro.routing.table import TableRouter
 from repro.topologies.base import Topology
 
 __all__ = [
     "link_loads",
+    "saturation",
     "saturation_load",
     "valiant_link_loads",
     "ugal_saturation_load",
     "latency_curve",
 ]
 
-
-def _edge_index(topology: Topology) -> dict[tuple[int, int], int]:
-    """Directed link -> index, CSR order."""
-    g = topology.graph
-    idx = {}
-    k = 0
-    for u in range(g.n):
-        for v in g.neighbors(u):
-            idx[(u, int(v))] = k
-            k += 1
-    return idx
+#: Minimal/Valiant splits UGAL's saturation is the best of (0, 0.1, ..., 1).
+_UGAL_MIXTURES = 11
+#: Latency of one hop at zero load, in hop-times.
+_HOP_LATENCY = 1.0
 
 
 def link_loads(
@@ -57,50 +57,27 @@ def link_loads(
 ) -> np.ndarray:
     """Per-directed-link load under minimal routing of *demand*.
 
-    Returns an array over directed links in CSR order (pair order of
-    :func:`_edge_index`).  When the router exposes a BFS distance matrix
-    (``TableRouter.dist``) and ``mode == "all"``, a fully vectorized
-    DAG-propagation path is used — required for full Table 3 scale.
+    Returns an array over directed links in CSR order.  *demand* is the
+    ``(n, n)`` router demand matrix, finite and non-negative; its diagonal
+    is ignored.  Raises ``ValueError`` on an unknown *mode*, on any other
+    *demand*, and on demand towards a router its source cannot reach.
     """
-    if mode == "all" and hasattr(router, "dist"):
-        with obs.span("sim.flow.link_loads.vectorized"):
-            loads = _link_loads_vectorized(topology, router.dist, demand)
-            _record_flow_metrics(loads, columns=int((demand != 0).any(axis=0).sum()))
-            return loads
     g = topology.graph
-    eidx = _edge_index(topology)
-    loads = np.zeros(len(eidx), dtype=np.float64)
-    n = g.n
-    columns = 0
-
-    with obs.span("sim.flow.link_loads.scalar"):
-        for t in range(n):
-            col = demand[:, t]
-            sources = np.nonzero(col)[0]
-            if not len(sources):
-                continue
-            columns += 1
-            # Propagate flow down the minimal-path DAG toward t, farthest layer
-            # first; flow only ever moves to strictly smaller distances, so each
-            # layer is complete when processed.
-            by_dist: dict[int, dict[int, float]] = {}
-            for s in sources:
-                d = router.distance(int(s), t)
-                by_dist.setdefault(d, {})
-                by_dist[d][int(s)] = by_dist[d].get(int(s), 0.0) + float(col[s])
-            dmax = max(by_dist)
-            for d in range(dmax, 0, -1):
-                for u, f in by_dist.get(d, {}).items():
-                    if f == 0.0:
-                        continue
-                    hops = router.next_hops(u, t) if mode == "all" else [router.next_hop(u, t)]
-                    share = f / len(hops)
-                    for v in hops:
-                        loads[eidx[(u, v)]] += share
-                        nd = router.distance(v, t)
-                        by_dist.setdefault(nd, {})
-                        by_dist[nd][v] = by_dist[nd].get(v, 0.0) + share
-    _record_flow_metrics(loads, columns=columns)
+    if mode not in ("all", "single"):
+        raise ValueError(f"unknown flow mode {mode!r}; expected 'all' or 'single'")
+    demand = np.asarray(demand)
+    if demand.shape != (g.n, g.n):
+        raise ValueError(f"demand has shape {demand.shape}; expected ({g.n}, {g.n})")
+    if not np.isfinite(demand).all() or (demand < 0).any():
+        raise ValueError("demand must be finite and non-negative")
+    cols = np.flatnonzero(demand.any(axis=0))
+    with obs.span(f"sim.flow.link_loads.{mode}"):
+        if mode == "single":
+            loads = _link_loads_single(g, router, demand)
+        else:
+            dist = router.dist if isinstance(router, TableRouter) else store.distance_table(g)
+            loads = _link_loads_all(g, dist, demand, cols)
+    _record_flow_metrics(loads, columns=len(cols))
     return loads
 
 
@@ -123,50 +100,84 @@ def _record_flow_metrics(loads: np.ndarray, columns: int) -> None:
     ).set_max(float(loads.max()) if len(loads) else 0.0)
 
 
-def _link_loads_vectorized(topology: Topology, dist: np.ndarray, demand: np.ndarray) -> np.ndarray:
-    """Vectorized all-minpath link loads from a BFS distance matrix.
-
-    For each destination, flow moves down the shortest-path DAG splitting
-    evenly over minimal next hops; levels are processed farthest-first with
-    edge-array gathers, so cost is O(n · E) in NumPy C loops.
-    """
-    g = topology.graph
+def _link_loads_all(
+    g: Graph, dist: np.ndarray, demand: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """All-minpath link loads from a BFS distance matrix: per demanded
+    destination column, flow moves down the shortest-path DAG level by
+    level, farthest first; O(len(cols) · E) NumPy work."""
+    dcols = dist[:, cols]
+    cut = (dcols == np.iinfo(np.int16).max) & (demand[:, cols] != 0)
+    if cut.any():
+        s, j = np.argwhere(cut)[0]
+        raise ValueError(f"demand from router {s} to {cols[j]}, which it cannot reach")
     u_arr = np.repeat(np.arange(g.n), np.diff(g.indptr))
     v_arr = g.indices
     loads = np.zeros(len(u_arr), dtype=np.float64)
-    du = dist[u_arr]  # (E, n): distance of edge tail to every dest
-    dv = dist[v_arr]
-    dag = du == dv + 1  # (E, n) minimal-DAG membership per destination
+    dag = dcols[u_arr] == dcols[v_arr] + 1  # (E, C) minimal-DAG membership
 
-    # k[u, t]: number of minimal next hops of u toward t.
-    k = np.zeros((g.n, demand.shape[1]), dtype=np.int32)
+    # k[u, j]: number of minimal next hops of u toward cols[j].
+    k = np.zeros((g.n, len(cols)), dtype=np.int32)
     np.add.at(k, u_arr, dag.astype(np.int32))
     k[k == 0] = 1
 
-    for t in range(g.n):
-        col = demand[:, t]
-        if not col.any():
-            continue
-        f = col.astype(float).copy()
-        dag_t = dag[:, t]
-        e_ids = np.nonzero(dag_t)[0]
-        eu, ev = u_arr[e_ids], v_arr[e_ids]
-        d_tail = dist[eu, t]
+    for j, t in enumerate(cols):
+        f = demand[:, t].astype(np.float64)
+        e_ids = np.flatnonzero(dag[:, j])
+        d_tail = dcols[u_arr[e_ids], j]
         order = np.argsort(-d_tail, kind="stable")
-        e_ids, eu, ev, d_tail = e_ids[order], eu[order], ev[order], d_tail[order]
-        # process strictly by decreasing tail distance
-        start = 0
-        while start < len(e_ids):
-            d = d_tail[start]
-            stop = start
-            while stop < len(e_ids) and d_tail[stop] == d:
-                stop += 1
-            seg = slice(start, stop)
-            share = f[eu[seg]] / k[eu[seg], t]
+        e_ids, d_tail = e_ids[order], d_tail[order]
+        eu, ev = u_arr[e_ids], v_arr[e_ids]
+        # One level per tail distance, farthest first, so a level's flow is
+        # complete before it moves one hop closer.
+        bounds = [0, *(np.flatnonzero(np.diff(d_tail)) + 1).tolist(), len(e_ids)]
+        for seg in map(slice, bounds[:-1], bounds[1:]):
+            share = f[eu[seg]] / k[eu[seg], j]
             loads[e_ids[seg]] += share
             np.add.at(f, ev[seg], share)
-            start = stop
     return loads
+
+
+def _link_loads_single(g: Graph, router: Router, demand: np.ndarray) -> np.ndarray:
+    """Single-path link loads: every demanded pair advances one hop per
+    step, with one router call for the distinct (router, destination) pairs."""
+    n = g.n
+    # Sorted link keys u·n + v (CSR order); the trailing sentinel keeps the
+    # lookup of a hop past the last key in range.
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
+    keys = np.append(rows * n + g.indices, n * n)
+    loads = np.zeros(len(rows), dtype=np.float64)
+    off = demand.astype(np.float64)
+    np.fill_diagonal(off, 0.0)
+    cur, dst = (a.astype(np.int64) for a in np.nonzero(off))
+    weight = off[cur, dst]
+    for _ in range(n):
+        if not len(cur):
+            return loads
+        pairs, inverse = np.unique(cur * n + dst, return_inverse=True)
+        hop = router.next_hop_batch(pairs // n, pairs % n)[inverse]
+        if (hop < 0).any():
+            i = np.argmax(hop < 0)
+            raise ValueError(f"no next hop from router {cur[i]} towards {dst[i]}")
+        link = cur * n + hop
+        eid = np.searchsorted(keys, link)
+        stray = (hop >= n) | (keys[np.minimum(eid, len(rows))] != link)
+        if stray.any():
+            i = np.argmax(stray)
+            raise ValueError(f"next hop {hop[i]} of router {cur[i]} is not a neighbour")
+        loads += np.bincount(eid, weights=weight, minlength=len(rows))
+        going = hop != dst
+        cur, dst, weight = hop[going], dst[going], weight[going]
+    if len(cur):
+        raise RuntimeError(f"routing loop: {len(cur)} demand pairs under way after {n} hops")
+    return loads
+
+
+def saturation(loads: np.ndarray) -> float:
+    """Saturation injection rate of per-link *loads*: ``1 / peak``, capped
+    at 1 (and 1 when no link carries load)."""
+    peak = loads.max() if len(loads) else 0.0
+    return float(min(1.0, 1.0 / peak)) if peak > 0 else 1.0
 
 
 def saturation_load(
@@ -176,9 +187,7 @@ def saturation_load(
     mode: str = "all",
 ) -> float:
     """Saturation injection rate (fraction of full per-endpoint bandwidth)."""
-    loads = link_loads(topology, router, demand, mode=mode)
-    peak = loads.max() if len(loads) else 0.0
-    return min(1.0, 1.0 / peak) if peak > 0 else 1.0
+    return saturation(link_loads(topology, router, demand, mode=mode))
 
 
 def valiant_link_loads(
@@ -206,20 +215,15 @@ def ugal_saturation_load(
     router: Router,
     demand: np.ndarray,
     mode: str = "all",
-    mixtures: int = 11,
+    loads: np.ndarray | None = None,
 ) -> float:
     """UGAL throughput approximation: the adaptive policy can realize any
     fixed minimal/Valiant traffic split, so its saturation point is the best
-    over the split parameter."""
-    l_min = link_loads(topology, router, demand, mode)
+    over the split parameter.  Pass *loads* to reuse MIN link loads of
+    *demand* already solved."""
+    l_min = link_loads(topology, router, demand, mode) if loads is None else loads
     l_val = valiant_link_loads(topology, router, demand, mode)
-    best = 0.0
-    for alpha in np.linspace(0.0, 1.0, mixtures):
-        mix = (1 - alpha) * l_min + alpha * l_val
-        peak = mix.max() if len(mix) else 0.0
-        theta = min(1.0, 1.0 / peak) if peak > 0 else 1.0
-        best = max(best, theta)
-    return best
+    return max(saturation((1 - a) * l_min + a * l_val) for a in np.linspace(0, 1, _UGAL_MIXTURES))
 
 
 def latency_curve(
@@ -229,7 +233,6 @@ def latency_curve(
     loads: np.ndarray | None = None,
     mode: str = "all",
     points: int = 24,
-    hop_latency: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Open-loop latency-vs-offered-load curve (M/M/1 queueing per link).
 
@@ -244,7 +247,7 @@ def latency_curve(
 
     # Average hops weighted by demand (sum of link loads = demand * avg_hops).
     avg_hops = loads.sum() / total_demand
-    sat = min(1.0, 1.0 / loads.max()) if loads.max() > 0 else 1.0
+    sat = saturation(loads)
     lam = np.linspace(0.02, sat * 0.995, points)
     latency = np.empty_like(lam)
     for i, l in enumerate(lam):
@@ -252,5 +255,5 @@ def latency_curve(
         # queueing delay accumulated along paths: each unit of flow on a link
         # suffers rho/(1-rho); weight by the link's share of total flow.
         queueing = (loads * rho / (1.0 - rho)).sum() / loads.sum() * avg_hops
-        latency[i] = avg_hops * hop_latency + queueing
+        latency[i] = avg_hops * _HOP_LATENCY + queueing
     return lam, latency

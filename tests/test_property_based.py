@@ -196,7 +196,9 @@ def test_hop_distances_match_scipy_bfs(g, data):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(connected_small_graphs(), st.data())
 def test_flow_conservation(g, data):
-    """Total link load equals sum over pairs of demand x distance."""
+    """Total link load equals sum over pairs of demand x hops: BFS distance
+    in all mode, the length of the router's own path in single mode."""
+    from repro.routing import route_path
     from repro.sim.flow import link_loads
     from repro.topologies.base import Topology, uniform_endpoints
 
@@ -209,8 +211,12 @@ def test_flow_conservation(g, data):
         t = data.draw(st.integers(0, n - 1))
         if s != t:
             demand[s, t] += 1.0
-    loads = link_loads(topo, router, demand, mode="all")
-    expected = sum(
-        demand[s, t] * router.distance(s, t) for s in range(n) for t in range(n)
-    )
-    assert loads.sum() == pytest.approx(expected)
+    pairs = list(zip(*np.nonzero(demand)))
+    hops = {
+        "all": [router.dist[s, t] for s, t in pairs],
+        "single": [len(route_path(router, int(s), int(t))) - 1 for s, t in pairs],
+    }
+    for mode, pair_hops in hops.items():
+        loads = link_loads(topo, router, demand, mode=mode)
+        expected = sum(demand[s, t] * h for (s, t), h in zip(pairs, pair_hops))
+        assert loads.sum() == pytest.approx(expected)
