@@ -71,14 +71,14 @@ def table3_router(name: str, scale: str = "full") -> tuple[Router, str]:
 
 def saturation_row(
     topo: Topology, router: Router, mode: str, demand: np.ndarray, with_ugal: bool
-) -> tuple[dict, np.ndarray]:
+) -> dict:
     """One Fig. 9/10 flow cell: the MIN saturation of *demand* and, when
-    *with_ugal*, UGAL's from the same MIN loads; returns them with the loads."""
+    *with_ugal*, UGAL's from the same MIN loads."""
     loads = link_loads(topo, router, demand, mode=mode)
     row = {"min_saturation": saturation(loads)}
     if with_ugal:
         row["ugal_saturation"] = ugal_saturation_load(topo, router, demand, mode, loads=loads)
-    return row, loads
+    return row
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], floatfmt: str = ".3f") -> str:

@@ -5,8 +5,7 @@ Two reproductions at different fidelity:
 * :func:`run` — flow-level saturation loads at **full Table 3 scale** for
   every topology x pattern x routing combination.  The paper's latency
   curves saturate exactly at these loads, so "who saturates where" — the
-  figure's message — is reproduced directly; :func:`run` also returns the
-  open-loop latency curves from the M/M/1 model.
+  figure's message — is reproduced directly.
 * :func:`packet_sim_curves` — event-driven packet simulation (VCs, credit
   flow control) of latency vs load on the reduced-scale analogues of
   ``table3.REDUCED_BUILDERS``.
@@ -22,7 +21,6 @@ from repro.experiments.common import (
     table3_instance,
     table3_router,
 )
-from repro.sim.flow import latency_curve
 from repro.sim.packet import PacketSimConfig, latency_load_sweep
 from repro.topologies.base import Topology
 from repro.traffic import (
@@ -67,23 +65,17 @@ def run(
     names=DEFAULT_TOPOLOGIES,
     patterns=("uniform", "permutation", "bitreverse", "bitshuffle"),
     with_ugal: bool = True,
-    with_curves: bool = False,
 ) -> dict:
-    """Flow-level saturation (and optional latency curves) per combination."""
+    """Flow-level saturation per topology x pattern combination."""
     rows = []
-    curves = {}
     for name in names:
         topo = table3_instance(name)
         router, mode = table3_router(name)
         for pattern in patterns:
             demand = pattern_demand(topo, pattern)
-            row, loads = saturation_row(topo, router, mode, demand, with_ugal)
+            row = saturation_row(topo, router, mode, demand, with_ugal)
             rows.append({"topology": name, "pattern": pattern, **row})
-            if with_curves:
-                curves[(name, pattern)] = latency_curve(
-                    topo, router, demand, loads=loads, mode=mode
-                )
-    return {"rows": rows, "curves": curves}
+    return {"rows": rows}
 
 
 # -- trial API (repro.runtime) ------------------------------------------------
@@ -109,7 +101,7 @@ def run_trial(params: dict, fidelity: str = "flow", attempt: int = 1) -> dict:
     topo = table3_instance(name)
     router, mode = table3_router(name)
     demand = pattern_demand(topo, pattern)
-    row, _ = saturation_row(topo, router, mode, demand, params.get("with_ugal", True))
+    row = saturation_row(topo, router, mode, demand, params.get("with_ugal", True))
     return {"row": {"topology": name, "pattern": pattern, **row}}
 
 
@@ -120,7 +112,7 @@ def merge_trials(opts: dict, outcomes: list[dict]) -> dict:
         for o in outcomes
         if o["status"] == "done" and o["result"] is not None
     ]
-    return {"rows": rows, "curves": {}}
+    return {"rows": rows}
 
 
 def packet_sim_curves(

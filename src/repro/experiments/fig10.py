@@ -42,7 +42,7 @@ def _row(name: str, with_ugal: bool) -> dict:
     topo = table3_instance(name)
     router, mode = table3_router(name)
     demand = AdversarialGroupPattern(topo).router_demand()
-    row, _ = saturation_row(topo, router, mode, demand, with_ugal)
+    row = saturation_row(topo, router, mode, demand, with_ugal)
     return {"topology": name, **row}
 
 

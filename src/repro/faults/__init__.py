@@ -10,8 +10,9 @@ The subsystem has four parts (see ``docs/FAULT_TOLERANCE.md``):
   driving cache invalidation;
 * :mod:`repro.faults.router` — :class:`FaultAwareRouter`, a
   :class:`~repro.routing.base.Router` wrapper that degrades gracefully
-  through a primary → alternate → recomputed → detour fallback ladder and
-  raises :class:`RouteUnavailableError` when a destination is cut off;
+  through a primary → alternate → recomputed → detour fallback ladder;
+  its ``next_hop`` raises :class:`RouteUnavailableError` when a
+  destination is cut off, where ``next_hops`` returns ``[]``;
 * :mod:`repro.faults.io` — the deterministic I/O fault-injection seam:
   :class:`DiskIo` (the real OS calls the store's disk tier and the run
   journal write through) and :class:`FaultyIo`, which injects scripted

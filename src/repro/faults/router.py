@@ -17,8 +17,11 @@ fallback ladder, counting which rung served each decision:
    when a caller excludes blocked ports (the simulator's reroute path);
    progress is bounded by ``detour_slack`` extra hops.
 
-If the destination is unreachable on the healthy subgraph the router
-raises :class:`RouteUnavailableError` — callers decide the drop policy.
+If the destination is unreachable on the healthy subgraph,
+:meth:`~FaultAwareRouter.next_hop` and the ladder raise
+:class:`RouteUnavailableError` — callers decide the drop policy — while
+``next_hops`` returns ``[]`` and ``next_hop_batch`` gives ``-1``, as for
+any router.
 
 Distance vectors are cached per destination and keyed by the health
 ``epoch``.  When the epoch moves, the cache is invalidated and at most
@@ -128,10 +131,22 @@ class FaultAwareRouter(Router):
         return int(self._dist_to(dest)[current])
 
     def next_hops(self, current: int, dest: int) -> list[int]:
+        """The ladder's candidate hops; empty when ``current == dest`` or
+        *dest* is cut off by faults, as the :class:`Router` contract says."""
         if current == dest:
             return []
-        hops, _ = self.route_hops(current, dest)
-        return hops
+        try:
+            return self.route_hops(current, dest)[0]
+        except RouteUnavailableError:
+            return []
+
+    def next_hop(self, current: int, dest: int) -> int:
+        """First candidate hop.  Raises :class:`RouteUnavailableError` when
+        *dest* is cut off (the packet engines drop such packets as
+        ``unreachable``) and ``ValueError`` when ``current == dest``."""
+        if current == dest:
+            raise ValueError(f"no next hop from {current} to {dest}")
+        return int(self.route_hops(current, dest)[0][0])
 
     # -- the fallback ladder -------------------------------------------------
 

@@ -109,16 +109,14 @@ class Router(ABC):
 
     def next_hop_batch(self, current: np.ndarray, dest: np.ndarray) -> np.ndarray:
         """:meth:`next_hop` of every pair ``(current[i], dest[i])`` as int64,
-        ``-1`` where ``current == dest`` or *dest* is unreachable.  This
-        default asks :meth:`next_hop` pair by pair; routers with an array
-        kernel override it."""
-        hop = self.next_hop
+        ``-1`` where ``current == dest`` or *dest* is unreachable (empty
+        :meth:`next_hops`).  This default asks :meth:`next_hops` pair by
+        pair; routers with an array kernel override it."""
+        hops = self.next_hops
         out: list[int] = []
         for u, t in zip(np.asarray(current).tolist(), np.asarray(dest).tolist()):
-            try:
-                out.append(hop(u, t) if u != t else -1)
-            except ValueError:
-                out.append(-1)  # unreachable
+            cand = hops(u, t) if u != t else ()
+            out.append(int(cand[0]) if cand else -1)
         return np.array(out, dtype=np.int64)
 
 

@@ -116,9 +116,13 @@ def _link_loads_all(
     loads = np.zeros(len(u_arr), dtype=np.float64)
     dag = dcols[u_arr] == dcols[v_arr] + 1  # (E, C) minimal-DAG membership
 
-    # k[u, j]: number of minimal next hops of u toward cols[j].
+    # k[u, j]: number of minimal next hops of u toward cols[j].  A CSR row
+    # is one contiguous run of dag rows, so a reduceat over the starts of
+    # the non-empty rows sums each; zero-degree rows keep 0.
     k = np.zeros((g.n, len(cols)), dtype=np.int32)
-    np.add.at(k, u_arr, dag.astype(np.int32))
+    rows = np.flatnonzero(np.diff(g.indptr))
+    if len(rows):
+        k[rows] = np.add.reduceat(dag, g.indptr[:-1][rows], axis=0, dtype=np.int32)
     k[k == 0] = 1
 
     for j, t in enumerate(cols):

@@ -11,11 +11,11 @@ Public surface (unchanged from the original single-module simulator):
 
 Internals: :mod:`~repro.sim.packet.engine` (the precomputed-route loop
 for fault-free minimal runs, and one per-arrival loop for UGAL and
-fault-aware runs), :mod:`~repro.sim.packet.state` (the per-arrival loop's
-columnar packet arrays and link mirrors), :mod:`~repro.sim.packet.kernel`
-(its per-cycle send scatter; RL114 hot-loop discipline) and
-:mod:`~repro.sim.packet.reference` (the spec engine).  See
-docs/SIMULATORS.md for the parity guarantee and bench instructions.
+fault-aware runs, with its per-cycle send scatter),
+:mod:`~repro.sim.packet.state` (the per-arrival loop's columnar packet
+arrays and link mirrors) and :mod:`~repro.sim.packet.reference` (the spec
+engine).  See docs/SIMULATORS.md for the parity guarantee and bench
+instructions.
 """
 
 from repro.sim.packet.engine import PacketSimulator, latency_load_sweep

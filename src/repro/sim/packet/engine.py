@@ -51,7 +51,6 @@ from repro import obs
 from repro.faults import FaultSchedule, RouteUnavailableError, UNREACHABLE
 from repro.obs.metrics import MetricsRegistry
 from repro.routing.base import Router
-from repro.sim.packet import kernel
 from repro.sim.packet.reference import (
     PacketSimConfig,
     PacketSimResult,
@@ -158,6 +157,22 @@ def _draw_injections(
                     dest_l.append(dest_r)
                     birth_l.append(birth)
     return src_l, dest_l, birth_l
+
+
+def _record_sends(arrays, pids, vcs, lids, ends_v) -> None:
+    """Flush one cycle's buffered send effects into the packet columns.
+
+    Each pid appears at most once per cycle (a sent packet is in flight
+    for >= 2 cycles before its next event), so plain fancy-indexed
+    scatters are exact: new router (the link's downstream end), new VC,
+    occupied input link, and the hop count increment.
+    """
+    idx = np.asarray(pids, dtype=np.int64)
+    lid_arr = np.asarray(lids, dtype=np.int64)
+    arrays.router[idx] = ends_v[lid_arr]
+    arrays.vc[idx] = np.asarray(vcs, dtype=np.int64)
+    arrays.in_link[idx] = lid_arr
+    arrays.hops[idx] += 1
 
 
 class PacketSimulator(ReferencePacketSimulator):
@@ -737,7 +752,7 @@ class PacketSimulator(ReferencePacketSimulator):
         order.  Packet fields are gathered once per cycle from the NumPy
         columns of :class:`~.state.PacketArrays`, link state lives in the
         :class:`~.state.LinkState` list mirrors, and each cycle's send
-        effects are scattered back by :func:`~.kernel.record_sends`.
+        effects are scattered back by :func:`_record_sends`.
         """
         cfg = self.cfg
         topo = self.topology
@@ -853,7 +868,7 @@ class PacketSimulator(ReferencePacketSimulator):
         hop_total = 0
         delivered_measured = 0
 
-        # Buffered send effects, flushed by kernel.record_sends per cycle
+        # Buffered send effects, flushed by _record_sends per cycle
         # (fields are disjoint from same-cycle enqueue writes, and a packet
         # sends at most once per cycle, so the scatter is exact).
         w_pid: list[int] = []
@@ -1211,7 +1226,7 @@ class PacketSimulator(ReferencePacketSimulator):
                         wake_scheduled[lid] = False
                         try_dispatch(lid, now)
                     if w_pid:
-                        kernel.record_sends(arrays, w_pid, w_vc, w_lid, ends_v_arr)
+                        _record_sends(arrays, w_pid, w_vc, w_lid, ends_v_arr)
                         w_pid.clear()
                         w_vc.clear()
                         w_lid.clear()

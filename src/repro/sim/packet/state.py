@@ -8,10 +8,10 @@ with:
 * :class:`PacketArrays` — every per-packet field the loop reads or writes
   lives in one ``int64`` NumPy column keyed by packet slot
   (``src/dest/router/vc/in_link/intermediate/birth/hops/retries``), so a
-  cycle's arrival batch is gathered and its sends scattered
-  (:mod:`repro.sim.packet.kernel`) with fancy indexing instead of touching
-  attributes one packet at a time.  The enqueue cycle the escape timeout
-  reads travels in the waiting-queue entries instead.
+  cycle's arrival batch is gathered and its sends scattered (the engine's
+  ``_record_sends``) with fancy indexing instead of touching attributes
+  one packet at a time.  The enqueue cycle the escape timeout reads
+  travels in the waiting-queue entries instead.
 * :class:`LinkState` — per-link mirrors (credits, serialization state,
   FIFO queues, wake dedup flags) kept as plain Python lists.  The
   dispatch/credit interleave is order-sensitive and runs element-at-a-time

@@ -388,9 +388,29 @@ class TestFaultAwareRouter:
         victim = 1
         for v in graph.neighbors(victim):
             h.apply(FaultEvent(0, "link_down", victim, int(v)))
+        assert router.next_hops(0, victim) == []
         with pytest.raises(RouteUnavailableError):
-            router.next_hops(0, victim)
+            router.next_hop(0, victim)
         assert router.distance(0, victim) >= UNREACHABLE
+
+    def test_cut_off_destination_follows_router_contract(self):
+        """On the path 0-1-2-3 with link 1-2 down, destination 3 is cut off
+        from 0: ``next_hops`` is empty and the batch and table give -1,
+        like any router; ``next_hop`` still raises for the engines."""
+        from repro.routing.table import next_hop_table
+
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)], name="path4")
+        h = LinkHealth(g)
+        h.apply(FaultEvent(0, "link_down", 1, 2))
+        router = FaultAwareRouter(TableRouter(g), h)
+        assert router.next_hops(0, 3) == []
+        assert router.next_hop_batch(np.array([0]), np.array([3])).tolist() == [-1]
+        table = next_hop_table(router)
+        assert table[0, 3] == -1 and table[0, 1] == 1 and table[3, 2] == 2
+        with pytest.raises(RouteUnavailableError):
+            router.next_hop(0, 3)
+        with pytest.raises(ValueError):
+            router.next_hop(0, 0)
 
     def test_detour_fires_with_exclusions(self, graph):
         h = LinkHealth(graph)

@@ -341,6 +341,17 @@ class TestInputBoundary:
         with pytest.raises(ValueError, match="0 to 3|0 towards 3"):
             link_loads(topo, TableRouter(g), demand, mode=mode)
 
+    def test_zero_degree_routers(self):
+        """Routers 2 (mid-CSR) and 5 (the last row) have no links; demand
+        avoids them, and the all-mode hop counts must not shift."""
+        g = Graph(6, [(0, 1), (0, 4), (1, 3), (1, 4), (3, 4)], name="holes")
+        topo = Topology(g, uniform_endpoints(6, 1), name="holes")
+        r = TableRouter(g)
+        demand = np.zeros((6, 6))
+        for s, t in [(0, 3), (3, 0), (4, 1), (1, 4), (0, 1), (3, 1)]:
+            demand[s, t] = 1.0 + s
+        assert_loads_match(link_loads(topo, r, demand), scalar_link_loads(topo, r, demand))
+
     @pytest.mark.parametrize("mode", ["all", "single"])
     def test_diagonal_demand_ignored(self, mode):
         topo = self.c4()

@@ -8,7 +8,9 @@ and the mypy ratchet's pure comparison logic.
 
 from __future__ import annotations
 
+import ast
 import json
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import pytest
 
 from tools.lint.cli import run_paths
 from tools.lint.config import ConfigError, load_config
+from tools.lint.core import Suppressions
 from tools.lint.mypy_ratchet import (
     compare_to_baseline,
     load_baseline,
@@ -28,6 +31,58 @@ from tools.lint.program.model import build_project_model, module_name_for
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_ROOT = REPO_ROOT / "tests" / "fixtures" / "progdemo"
+SERVEDEMO_ROOT = REPO_ROOT / "tests" / "fixtures" / "servedemo"
+
+#: Every ``--program`` finding of the two fixture trees, one entry per
+#: finding, as (path under ``src/repro``, line, code).
+PROGDEMO_FINDINGS = [
+    ("experiments/fig.py", 12, "RL210"),
+    ("experiments/fig.py", 14, "RL107"),
+    ("experiments/fig.py", 15, "RL310"),
+    ("experiments/helper.py", 5, "RL110"),
+    ("experiments/helper.py", 10, "RL205"),
+    ("runtime/badpool.py", 5, "RL110"),
+    ("runtime/badpool.py", 10, "RL311"),
+    ("runtime/badpool.py", 11, "RL311"),
+    ("runtime/badpool.py", 12, "RL312"),
+    ("topologies/table3.py", 3, "RL109"),
+]
+SERVEDEMO_FINDINGS = [
+    ("__init__.py", 1, "RL301"),
+    ("experiments/__init__.py", 1, "RL301"),
+    ("experiments/driver.py", 1, "RL301"),
+    ("experiments/driver.py", 11, "RL303"),
+    ("experiments/driver.py", 12, "RL112"),
+    ("experiments/driver.py", 15, "RL303"),
+    ("experiments/driver.py", 16, "RL112"),
+    ("experiments/driver.py", 17, "RL112"),
+    ("experiments/driver.py", 20, "RL303"),
+    ("experiments/driver.py", 21, "RL112"),
+    ("experiments/retry_loop.py", 1, "RL301"),
+    ("experiments/retry_loop.py", 22, "RL113"),
+    ("experiments/retry_loop.py", 22, "RL113"),
+    ("experiments/retry_loop.py", 32, "RL113"),
+    ("experiments/retry_loop.py", 32, "RL205"),
+    ("experiments/retry_loop.py", 33, "RL113"),
+    ("serve/__init__.py", 1, "RL301"),
+    ("serve/clean.py", 1, "RL301"),
+    ("serve/handlers.py", 1, "RL301"),
+    ("serve/handlers.py", 9, "RL112"),
+    ("serve/handlers.py", 10, "RL112"),
+    ("serve/handlers.py", 11, "RL112"),
+    ("serve/reliability.py", 1, "RL301"),
+    ("store/__init__.py", 1, "RL301"),
+    ("store/rawdisk.py", 1, "RL301"),
+    ("store/rawdisk.py", 17, "RL115"),
+    ("store/rawdisk.py", 19, "RL115"),
+    ("store/rawdisk.py", 24, "RL115"),
+    ("store/rawdisk.py", 25, "RL115"),
+    ("store/rawdisk.py", 27, "RL115"),
+    ("store/rawdisk.py", 28, "RL115"),
+    ("store/rawdisk.py", 29, "RL115"),
+    ("store/rawdisk.py", 33, "RL115"),
+    ("store/seamwrites.py", 1, "RL301"),
+]
 
 
 def write_tree(root: Path, files: dict[str, str]) -> list[Path]:
@@ -57,6 +112,14 @@ def progdemo():
 
 def by_rule(violations, rule):
     return [v for v in violations if v.rule == rule]
+
+
+def pinned(violations, root: Path) -> list[tuple[str, int, str]]:
+    base = root / "src" / "repro"
+    return sorted(
+        (Path(v.path).relative_to(base).as_posix(), v.line, v.rule)
+        for v in violations
+    )
 
 
 # -- project model -----------------------------------------------------------
@@ -200,6 +263,83 @@ class TestFixtureTruePositives:
         assert not any(
             v.rule == "RL107" and "fig.py" in v.path for v in per_file
         )
+
+
+class TestFixtureFindingsPinned:
+    """The exact findings of both fixture trees: a planted violation that
+    stops firing, or a negative control that starts, fails here."""
+
+    def test_progdemo(self, progdemo):
+        assert pinned(progdemo, FIXTURE_ROOT) == PROGDEMO_FINDINGS
+
+    def test_servedemo(self):
+        violations, _ = run_paths(
+            [str(SERVEDEMO_ROOT / "src")], root=SERVEDEMO_ROOT, program=True,
+            use_cache=False,
+        )
+        assert pinned(violations, SERVEDEMO_ROOT) == SERVEDEMO_FINDINGS
+
+
+# -- every suppression in src/ still earns its place ---------------------------
+
+def _suppressed_statements(source: str) -> list[tuple[int, int, str]]:
+    """``(first line, last line, code)`` of every statement carrying a
+    ``# repro-lint: disable=<code>`` comment on one of its code lines (a
+    compound statement spans its header only)."""
+    spans = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.stmt):
+            body = getattr(node, "body", None)
+            end = body[0].lineno - 1 if body else node.end_lineno
+            spans.append((node.lineno, end))
+    lines = source.splitlines()
+    out = []
+    for lineno, codes in sorted(Suppressions(source).line_rules.items()):
+        if not lines[lineno - 1].split("#", 1)[0].strip():
+            continue  # a comment-only line suppresses no statement of its own
+        first, last = min(
+            (s for s in spans if s[0] <= lineno <= s[1]), key=lambda s: s[1] - s[0]
+        )
+        out += [(first, last, code) for code in sorted(codes)]
+    return out
+
+
+class TestSuppressionsAreNeeded:
+    def test_every_src_suppression_silences_one_finding(self, tmp_path):
+        """Neutralise every suppression comment in a copy of the repo:
+        each suppressed statement in ``src/`` must then yield exactly one
+        finding of the comment's code, and nothing else may appear."""
+        dirs = ("src", "tests", "benchmarks", "examples")
+        for d in dirs:
+            shutil.copytree(
+                REPO_ROOT / d, tmp_path / d,
+                ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"),
+            )
+        shutil.copy(REPO_ROOT / "pyproject.toml", tmp_path / "pyproject.toml")
+        expected = []
+        for path in sorted((tmp_path / "src").rglob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            for first, last, code in _suppressed_statements(source):
+                expected.append((str(path), first, last, code))
+            path.write_text(
+                source.replace("repro-lint: disable", "repro-lint: neutralised"),
+                encoding="utf-8",
+            )
+        assert expected, "no suppression comments found under src/"
+
+        violations, _ = run_paths(
+            [str(tmp_path / d) for d in dirs], root=tmp_path, program=True,
+            use_cache=False,
+        )
+        unmatched = list(violations)
+        for path, first, last, code in expected:
+            hits = [
+                v for v in unmatched
+                if v.path == path and first <= v.line <= last and code in (v.rule, v.name)
+            ]
+            assert len(hits) == 1, f"{path}:{first}: {code} silences {len(hits)} findings"
+            unmatched.remove(hits[0])
+        assert unmatched == [], "\n".join(v.format() for v in unmatched)
 
 
 # -- deterministic machine output (satellite: --format json) -----------------

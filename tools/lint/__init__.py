@@ -20,7 +20,7 @@ Architecture
 * :mod:`tools.lint.rules` — the per-file rule catalog (contracts,
   numerics, API hygiene);
 * :mod:`tools.lint.program` — whole-program passes over a project model
-  (alias-aware contracts, layering, determinism taint, concurrency
+  (sanctioned-call contracts, layering, determinism taint, concurrency
   safety), run with ``--program``;
 * :mod:`tools.lint.output` — text/JSON/SARIF report formatters;
 * :mod:`tools.lint.mypy_ratchet` — the monotone mypy strictness gate;

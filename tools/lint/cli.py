@@ -6,7 +6,7 @@ violations sorted by location, and exits nonzero iff any *error*-severity
 violation survives suppression filtering.
 
 ``--program`` additionally runs the whole-program passes
-(:mod:`tools.lint.program`): alias-aware contract enforcement, layering,
+(:mod:`tools.lint.program`): the sanctioned-call contracts, layering,
 determinism taint and concurrency safety.  ``--format json|sarif`` emits
 machine-readable output; both formats are byte-deterministic (findings
 sorted by path/line/col/rule) regardless of filesystem or argument order.
@@ -125,9 +125,7 @@ def run_paths(
 
     This is the programmatic API the test suite uses; ``main`` is a thin
     argv/printing wrapper around it.  With ``program=True`` the
-    whole-program passes run after the per-file rules; findings both
-    engines report at the same (path, line, col, rule) are de-duplicated
-    in favor of the per-file one.
+    whole-program passes run after the per-file rules.
     """
     root = root or Path.cwd()
     config = load_config(root)
@@ -139,12 +137,9 @@ def run_paths(
     if program:
         from tools.lint.program.engine import analyze_program
 
-        seen = {(v.path, v.line, v.col, v.rule) for v in violations}
-        for v in analyze_program(
-            files, root, config, select, ignore, use_cache=use_cache
-        ):
-            if (v.path, v.line, v.col, v.rule) not in seen:
-                violations.append(v)
+        violations.extend(
+            analyze_program(files, root, config, select, ignore, use_cache=use_cache)
+        )
     violations = sort_violations(violations)
     return violations, len(files)
 
@@ -208,7 +203,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--program",
         action="store_true",
-        help="also run the whole-program passes (call graph, layering, "
+        help="also run the whole-program passes (sanctioned calls, layering, "
         "determinism taint, concurrency safety)",
     )
     parser.add_argument(

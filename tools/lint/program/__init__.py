@@ -5,8 +5,9 @@ time, this package builds a *project model* — module and symbol tables, an
 import graph with cycle detection, and an approximate call graph with alias
 resolution — and runs cross-module passes over it:
 
-- alias-aware contract enforcement (RL107/RL108 on the call graph, RL109
-  layering, RL110 dead exports),
+- the sanctioned-call contracts (RL107, RL108, RL112, RL113, RL115,
+  RL206: one table of "calls matching X in context C only in modules Y"),
+- architecture contracts (RL109 layering, RL110 dead exports),
 - interprocedural determinism taint (RL210),
 - concurrency safety for the spawn-based worker pool (RL310-RL312).
 

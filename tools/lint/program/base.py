@@ -3,9 +3,7 @@
 Program rules see the whole :class:`~tools.lint.program.model.ProjectModel`
 plus the resolved :class:`~tools.lint.program.callgraph.CallGraph` instead
 of one module at a time.  They live in a registry separate from the
-per-file rules so a program pass may deliberately share a code with the
-per-file rule it generalizes (RL107/RL108 exist in both catalogs; findings
-are de-duplicated per location by the engine).
+per-file rules; no code is in both catalogs.
 """
 
 from __future__ import annotations
@@ -83,7 +81,12 @@ def register_program(cls: type[ProgramRule]) -> type[ProgramRule]:
 
 def _ensure_passes_loaded() -> None:
     # Importing the pass modules triggers @register_program on each pass.
-    from tools.lint.program import concurrency, contracts, determinism  # noqa: F401
+    from tools.lint.program import (  # noqa: F401
+        concurrency,
+        contracts,
+        determinism,
+        sanctioned,
+    )
 
 
 def all_program_rules() -> list[type[ProgramRule]]:

@@ -1,11 +1,4 @@
-"""Alias-aware contract passes: store/process discipline, layering, exports.
-
-RL107/RL108 here share their codes with the per-file rules they
-generalize: the per-file variants match call *syntax*, these match the
-*resolved* callee, so ``from repro.topologies.table3 import
-build_table3_topology as make; make(...)`` is caught even though no
-pattern appears in the call text.  The engine de-duplicates findings that
-both variants report at the same location.
+"""Architecture contract passes: layering and dead exports.
 
 RL109 enforces the architecture layering (``docs/ARCHITECTURE.md``): a
 module may only import modules at its own layer or below, and the
@@ -22,130 +15,16 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from tools.lint.core import Violation, dotted_name, matches_any
-from tools.lint.rules.contracts import _OS_PROCESS_FNS, STORE_CONSTRUCTOR_PATTERNS
+from tools.lint.core import Violation, dotted_name
 
 from tools.lint.program.base import ProgramRule, register_program
 from tools.lint.program.callgraph import CallGraph
 from tools.lint.program.model import ModuleInfo, ProjectModel
 
 __all__ = [
-    "AliasedStoreDiscipline",
-    "AliasedProcessDiscipline",
     "Layering",
     "DeadExport",
 ]
-
-
-def _in_dirs(mod: ModuleInfo, dirs: tuple[str, ...]) -> bool:
-    parts = mod.rel_path.split("/")
-    return any(d in parts for d in dirs)
-
-
-@register_program
-class AliasedStoreDiscipline(ProgramRule):
-    """RL107 on the call graph: resolved builder calls outside the store."""
-
-    code = "RL107"
-    name = "store-discipline"
-    severity = "error"
-    default_paths = (
-        "src/repro/experiments",
-        "src/repro/sim",
-        "src/repro/cli.py",
-    )
-    description = (
-        "alias-aware store discipline: calls that resolve to topology/"
-        "router/bisection builders outside repro.store bypass the artifact "
-        "cache no matter how they are spelled"
-    )
-
-    def check(self, model: ProjectModel, graph: CallGraph) -> Iterator[Violation]:
-        constructors = tuple(self.option("constructors", STORE_CONSTRUCTOR_PATTERNS))
-        for caller, sites in sorted(graph.calls.items()):
-            for site in sites:
-                if site.resolved is None:
-                    continue
-                mod_name, rest = model.split_module_prefix(site.resolved)
-                if mod_name is None or not rest:
-                    continue
-                # Resolution through the store front door is the sanctioned path.
-                if mod_name == "repro.store" or mod_name.startswith("repro.store."):
-                    continue
-                last = rest.rsplit(".", 1)[-1]
-                if not (
-                    matches_any(last, constructors)
-                    or matches_any(site.resolved, constructors)
-                ):
-                    continue
-                mod = self._caller_module(model, caller)
-                if mod is None:
-                    continue
-                yield self.flag(
-                    mod,
-                    site.node,
-                    f"call {site.raw!r} resolves to {site.resolved!r}, "
-                    "bypassing the artifact store; resolve it through "
-                    "repro.store so warm runs reuse the cached artifact",
-                )
-
-    @staticmethod
-    def _caller_module(model: ProjectModel, caller: str) -> ModuleInfo | None:
-        # caller is "<module path>.<qualname or <module>>"; peel suffixes
-        # until a known module name remains.
-        name = caller
-        while name and name not in model.modules:
-            if "." not in name:
-                return None
-            name = name.rsplit(".", 1)[0]
-        return model.modules.get(name)
-
-
-def _caller_module(model: ProjectModel, caller: str) -> ModuleInfo | None:
-    return AliasedStoreDiscipline._caller_module(model, caller)
-
-
-@register_program
-class AliasedProcessDiscipline(ProgramRule):
-    """RL108 on the call graph: resolved process calls outside the runtime."""
-
-    code = "RL108"
-    name = "process-discipline"
-    severity = "error"
-    default_paths = ("src/repro",)
-    description = (
-        "alias-aware process discipline: calls resolving to multiprocessing/"
-        "subprocess/os.fork-family outside repro.runtime escape the "
-        "supervised worker pool however they are aliased"
-    )
-
-    DEFAULT_EXEMPT_DIRS = ("runtime",)
-
-    def check(self, model: ProjectModel, graph: CallGraph) -> Iterator[Violation]:
-        exempt = tuple(self.option("exempt-dirs", self.DEFAULT_EXEMPT_DIRS))
-        for caller, sites in sorted(graph.calls.items()):
-            mod = _caller_module(model, caller)
-            if mod is None or _in_dirs(mod, exempt):
-                continue
-            for site in sites:
-                if site.resolved is None:
-                    continue
-                r = site.resolved
-                offender = None
-                if r.startswith("multiprocessing.") or r == "multiprocessing":
-                    offender = r
-                elif r.startswith("subprocess."):
-                    offender = r
-                elif r.startswith("os.") and r.split(".", 1)[1] in _OS_PROCESS_FNS:
-                    offender = r
-                if offender is not None:
-                    yield self.flag(
-                        mod,
-                        site.node,
-                        f"call {site.raw!r} resolves to {offender!r} outside "
-                        "repro.runtime; processes spawned here escape the "
-                        "supervisor's heartbeats, timeouts and journal",
-                    )
 
 
 #: Architecture layers, lowest first.  Rank lookup is by longest dotted

@@ -20,7 +20,6 @@ __all__ = [
     "ImplicitDtype",
     "LegacyRandom",
     "SeedlessRng",
-    "RawWallClock",
 ]
 
 _MUTABLE_NODES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
@@ -273,81 +272,4 @@ class SeedlessRng(Rule):
                     node,
                     "default_rng() without a seed is nondeterministic; pass "
                     "an explicit seed (or a SeedSequence)",
-                )
-
-
-#: ``time`` module functions that read the wall clock (ns variants too).
-_WALL_CLOCK_FNS = frozenset(
-    {
-        "time",
-        "time_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "monotonic",
-        "monotonic_ns",
-        "process_time",
-        "process_time_ns",
-        "thread_time",
-        "thread_time_ns",
-    }
-)
-
-
-@register
-class RawWallClock(Rule):
-    """Raw clock reads in library code bypass the profiling substrate.
-
-    ``repro.obs.tracing`` owns the wall clock: phases timed through
-    ``obs.span("phase")`` aggregate into the exported profile tree, and a
-    disabled observability session keeps hot paths free of timing syscalls.
-    A stray ``time.perf_counter()`` produces numbers nobody can find in the
-    metrics artifact — and tempts ad-hoc printing.  Scoped to ``src/repro``
-    with the ``obs`` package itself exempt (it is the one legitimate clock
-    consumer).
-    """
-
-    code = "RL206"
-    name = "raw-wall-clock"
-    severity = "error"
-    default_paths = ("src/repro",)
-    description = (
-        "raw time.time()/perf_counter()/monotonic() in library code; time "
-        "phases with repro.obs.span so profiles land in the metrics export"
-    )
-
-    #: path components exempt by default: the obs package owns the clock.
-    DEFAULT_EXEMPT_DIRS = ("obs",)
-
-    def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        exempt = tuple(self.option("exempt-dirs", self.DEFAULT_EXEMPT_DIRS))
-        parts = ctx.path.replace("\\", "/").split("/")
-        if any(d in parts for d in exempt):
-            return
-        # Names bound by `from time import perf_counter [as pc]`.
-        bare: dict[str, str] = {}
-        for node in ctx.tree.body:
-            if isinstance(node, ast.ImportFrom) and node.module == "time":
-                for alias in node.names:
-                    if alias.name in _WALL_CLOCK_FNS:
-                        bare[alias.asname or alias.name] = alias.name
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = dotted_name(node.func)
-            if callee is None:
-                continue
-            offender = None
-            if "." in callee:
-                base, _, attr = callee.rpartition(".")
-                if base == "time" and attr in _WALL_CLOCK_FNS:
-                    offender = callee
-            elif callee in bare:
-                offender = f"time.{bare[callee]}"
-            if offender is not None:
-                yield self.flag(
-                    ctx,
-                    node,
-                    f"raw wall-clock call {offender}(); wrap the phase in "
-                    "repro.obs.span(...) instead (only repro/obs may read "
-                    "the clock directly)",
                 )
