@@ -10,11 +10,7 @@ Usage (after ``pip install -e .``)::
     python -m repro route --radix 15 --src 0 --dst 900
     python -m repro route --topology PS-IQ --pair 0 7 --pairs-file pairs.txt
     python -m repro serve start --topology PS-IQ --port 7070
-    python -m repro serve bench --topology PS-IQ --out BENCH_serve.json
     python -m repro serve chaos --topology PS-IQ --scale reduced --out chaos.json
-    python -m repro bench packet --out BENCH_packet.json   # fig09 sweep, both engines
-    python -m repro bench packet --quick --min-speedup 3   # CI perf-smoke gate
-    python -m repro bench serve --topology PS-IQ --out BENCH_serve.json
     python -m repro sim --radix 7 --load 0.3 --adaptive --metrics-out m.json
     python -m repro sim --radix 7 --load 0.3 --fail-links 0.1
     python -m repro faults inject --fail-links 0.1 --fail-nodes 2
@@ -98,7 +94,13 @@ def _cmd_topology(args) -> int:
     elif args.kind == "df":
         topo = store.topology("dragonfly", a=args.a, h=args.h, p=args.p)
     elif args.kind == "hx":
-        dims = tuple(int(x) for x in args.dims.split("x"))
+        try:
+            dims = tuple(int(x) for x in args.dims.split("x"))
+        except ValueError:
+            raise SystemExit(
+                f"invalid --dims {args.dims!r}: expected integers joined by "
+                "'x', e.g. 9x9x8"
+            )
         topo = store.topology("hyperx", dims=dims, p=args.p)
     else:
         raise SystemExit(f"unknown topology kind {args.kind!r}")
@@ -151,11 +153,13 @@ def _packet_config(args):
         raise SystemExit(f"invalid packet-sim input: {exc}")
 
 
-def _run_packet_sim(sim, load: float):
-    """``sim.run(load)``; a load the simulator rejects exits with a
-    one-line message."""
+def _check_load(load: float) -> None:
+    """Run the packet simulator's own load check before anything is
+    built; a load it rejects exits with a one-line message."""
+    from repro.sim.packet import PacketSimulator
+
     try:
-        return sim.run(load)
+        PacketSimulator._check_load(load)
     except ValueError as exc:
         raise SystemExit(f"invalid packet-sim input: {exc}")
 
@@ -168,6 +172,7 @@ def _cmd_sim(args) -> int:
     from repro.traffic import RandomPermutationPattern, UniformRandomPattern
 
     cfg = _packet_config(args)
+    _check_load(args.load)
     topo = store.topology("polarstar", radix=args.radix, p=args.p)
     router = store.table_router(topo)
     if args.pattern == "uniform":
@@ -190,7 +195,7 @@ def _cmd_sim(args) -> int:
         sim = PacketSimulator(
             topo, router, pattern, cfg, adaptive=args.adaptive, faults=faults
         )
-        res = _run_packet_sim(sim, args.load)
+        res = sim.run(args.load)
     print(
         f"{topo.name}: load={res.offered_load:.2f} avg_lat={res.avg_latency:.1f} "
         f"p99={res.p99_latency:.1f} thr={res.throughput:.3f} "
@@ -261,6 +266,7 @@ def _cmd_faults_inject(args) -> int:
     from repro.traffic import UniformRandomPattern
 
     cfg = _packet_config(args)
+    _check_load(args.load)
     topo = store.topology("polarstar", radix=args.radix, p=args.p)
     sched = _build_schedule(topo.graph, args)
     with obs_session(
@@ -275,7 +281,7 @@ def _cmd_faults_inject(args) -> int:
             topo, store.table_router(topo), UniformRandomPattern(topo), cfg,
             faults=sched,
         )
-        res = _run_packet_sim(sim, args.load)
+        res = sim.run(args.load)
     print(f"{topo.name}: {sched!r}")
     print(
         f"load={res.offered_load:.2f} delivered={res.delivered}/{res.injected} "
@@ -319,6 +325,22 @@ def _cmd_faults_schedule(args) -> int:
     return 0
 
 
+def _parse_fractions(text: str) -> tuple[float, ...]:
+    """``--fractions``: comma-separated failed-link fractions, each in the
+    generator's domain [0, 1]; a bad one exits with a one-line message."""
+    try:
+        fractions = tuple(float(x) for x in text.split(","))
+    except ValueError as exc:
+        raise SystemExit(f"invalid fault schedule: --fractions {text!r}: {exc}")
+    for frac in fractions:
+        if not 0.0 <= frac <= 1.0:
+            raise SystemExit(
+                f"invalid fault schedule: failure fraction must be in "
+                f"[0, 1], got {frac}"
+            )
+    return fractions
+
+
 def _cmd_faults_sweep(args) -> int:
     """Delivered-fraction sweep over failed-link fractions (fig14_dynamic)."""
     import json
@@ -327,7 +349,8 @@ def _cmd_faults_sweep(args) -> int:
     from repro.experiments.common import obs_session
 
     topos = tuple(args.topo) if args.topo else ("PS-IQ",)
-    fractions = tuple(float(x) for x in args.fractions.split(","))
+    fractions = _parse_fractions(args.fractions)
+    _check_load(args.load)
     with obs_session(
         args.metrics_out,
         seed=args.seed,
@@ -627,19 +650,22 @@ def _collect_route_pairs(args) -> list[list[int]]:
     if args.pairs_file:
         from pathlib import Path
 
-        for lineno, line in enumerate(
-            Path(args.pairs_file).read_text().splitlines(), 1
-        ):
+        try:
+            text = Path(args.pairs_file).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SystemExit(f"cannot read --pairs-file: {exc}")
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            fields = line.replace(",", " ").split()
-            if len(fields) != 2:
+            try:
+                src, dst = map(int, line.replace(",", " ").split())
+            except ValueError:
                 raise SystemExit(
                     f"{args.pairs_file}:{lineno}: expected 'src dst', "
                     f"got {line!r}"
                 )
-            pairs.append([int(fields[0]), int(fields[1])])
+            pairs.append([src, dst])
     if not pairs:
         raise SystemExit(
             "no pairs given; use --src/--dst, --pair, or --pairs-file"
@@ -656,13 +682,13 @@ def _cmd_route(args) -> int:
     if spec is None:
         # Legacy invocation: the largest PolarStar at --radix.
         spec = f"polarstar:radix={args.radix}"
+    pairs = _collect_route_pairs(args)
     registry = ShardRegistry()
     try:
         shard = registry.load(spec, scale=args.scale)
     except (KeyError, ValueError) as exc:
         raise SystemExit(f"cannot resolve topology {spec!r}: {exc}")
     engine = QueryEngine(registry)
-    pairs = _collect_route_pairs(args)
     try:
         dists = engine.distances(spec, pairs)
         paths = engine.paths(spec, pairs) if args.op == "path" else None
@@ -701,7 +727,7 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """Serve subcommands: start the query server / run the bench."""
+    """Serve subcommands: start the query server / run the chaos harness."""
     if args.action == "start":
         from repro.serve import ServerConfig, run_server
 
@@ -743,88 +769,7 @@ def _cmd_serve(args) -> int:
             )
             print(f"chaos report written to {args.out}")
         return 0 if doc["ok"] else 1
-    if args.action == "bench":
-        return _run_serve_bench(args)
     raise SystemExit(f"unknown serve action {args.action!r}")
-
-
-def _run_serve_bench(args) -> int:
-    """Shared body of ``repro serve bench`` and ``repro bench serve``."""
-    from repro.runtime import atomic_write_text
-    from repro.serve import format_bench, run_bench
-
-    doc = run_bench(
-        args.topology[0],
-        scale=args.scale,
-        pairs=args.pairs,
-        batch_sizes=tuple(args.batch_sizes),
-        concurrency=args.concurrency,
-        seed=args.seed,
-        host=args.host,
-        port=args.port,
-    )
-    print(format_bench(doc))
-    if args.out:
-        atomic_write_text(
-            args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"bench report written to {args.out}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    """Bench subcommands: schema-versioned perf reports (``repro bench``)."""
-    if args.action == "serve":
-        return _run_serve_bench(args)
-    if args.action == "packet":
-        from repro.bench import format_bench, quick_preset, run_bench
-        from repro.runtime import atomic_write_text
-        from repro.sim.packet import PacketSimConfig
-
-        if args.quick:
-            preset = quick_preset()
-            names = tuple(args.names) if args.names else preset["names"]
-            loads = tuple(args.loads) if args.loads else preset["loads"]
-            config = preset["config"]
-            if args.seed is not None:
-                config.seed = args.seed
-        else:
-            from repro.bench import FIG09_LOADS, FIG09_NAMES
-
-            names = tuple(args.names) if args.names else FIG09_NAMES
-            loads = tuple(args.loads) if args.loads else FIG09_LOADS
-            config = PacketSimConfig(
-                seed=args.seed if args.seed is not None else 1
-            )
-        doc = run_bench(
-            names=names,
-            loads=loads,
-            scale=args.scale,
-            pattern=args.pattern,
-            config=config,
-            repeats=args.repeats,
-        )
-        print(format_bench(doc))
-        if args.out:
-            atomic_write_text(
-                args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"bench report written to {args.out}")
-        if not doc["parity"]:
-            print(
-                "ENGINE PARITY FAILURE: SoA and reference results diverged",
-                file=sys.stderr,
-            )
-            return 1
-        if doc["totals"]["speedup"] < args.min_speedup:
-            print(
-                f"speedup {doc['totals']['speedup']:.2f}x is below the "
-                f"--min-speedup floor {args.min_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    raise SystemExit(f"unknown bench action {args.action!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -946,88 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     svc.add_argument("--out", default=None, metavar="PATH",
                      help="write the chaos report JSON here")
     svc.set_defaults(fn=_cmd_serve)
-
-    svb = svsub.add_parser("bench", help="throughput bench / load generator")
-    svb.add_argument(
-        "--topology", action="append", required=True, metavar="SPEC",
-        help="topology spec to bench",
-    )
-    svb.add_argument("--scale", choices=["full", "reduced"], default="full")
-    svb.add_argument("--pairs", type=int, default=65536,
-                     help="random pairs per measured run")
-    svb.add_argument(
-        "--batch-sizes", type=int, nargs="+", default=[1, 64, 4096],
-        metavar="N",
-    )
-    svb.add_argument("--concurrency", type=int, default=4,
-                     help="client threads in server mode")
-    svb.add_argument("--seed", type=int, default=0)
-    svb.add_argument("--host", default="127.0.0.1")
-    svb.add_argument("--port", type=int, default=None,
-                     help="also drive a live server at this port")
-    svb.add_argument("--out", default=None, metavar="PATH",
-                     help="write the BENCH_serve.json report here")
-    svb.set_defaults(fn=_cmd_serve)
-
-    b = sub.add_parser(
-        "bench", help="performance benchmarks with checked-in JSON reports"
-    )
-    bsub = b.add_subparsers(dest="action", required=True)
-
-    bp = bsub.add_parser(
-        "packet",
-        help="SoA packet engine vs the scalar reference on the fig09 sweep",
-    )
-    bp.add_argument(
-        "--names", nargs="+", default=None, metavar="NAME",
-        help="Table 3 topology labels (default: the fig09 packet set)",
-    )
-    bp.add_argument(
-        "--loads", nargs="+", type=float, default=None, metavar="LOAD",
-        help="offered-load grid (default: the fig09 grid 0.1..0.9)",
-    )
-    bp.add_argument("--scale", choices=["full", "reduced"], default="reduced")
-    bp.add_argument("--pattern", default="uniform",
-                    help="fig09 traffic pattern name")
-    bp.add_argument("--seed", type=int, default=None,
-                    help="simulator seed (default 1)")
-    bp.add_argument("--repeats", type=int, default=1,
-                    help="timed runs per engine per point; best is kept")
-    bp.add_argument(
-        "--quick", action="store_true",
-        help="CI perf-smoke preset: one PS-IQ point with shortened cycles",
-    )
-    bp.add_argument(
-        "--min-speedup", type=float, default=0.0, metavar="X",
-        help="exit non-zero unless total speedup >= X (CI floor)",
-    )
-    bp.add_argument("--out", default=None, metavar="PATH",
-                    help="write the BENCH_packet.json report here")
-    bp.set_defaults(fn=_cmd_bench)
-
-    bs = bsub.add_parser(
-        "serve", help="alias of `repro serve bench` under the bench umbrella"
-    )
-    bs.add_argument(
-        "--topology", action="append", required=True, metavar="SPEC",
-        help="topology spec to bench",
-    )
-    bs.add_argument("--scale", choices=["full", "reduced"], default="full")
-    bs.add_argument("--pairs", type=int, default=65536,
-                    help="random pairs per measured run")
-    bs.add_argument(
-        "--batch-sizes", type=int, nargs="+", default=[1, 64, 4096],
-        metavar="N",
-    )
-    bs.add_argument("--concurrency", type=int, default=4,
-                    help="client threads in server mode")
-    bs.add_argument("--seed", type=int, default=0)
-    bs.add_argument("--host", default="127.0.0.1")
-    bs.add_argument("--port", type=int, default=None,
-                    help="also drive a live server at this port")
-    bs.add_argument("--out", default=None, metavar="PATH",
-                    help="write the BENCH_serve.json report here")
-    bs.set_defaults(fn=_cmd_bench)
 
     s = sub.add_parser(
         "sim", help="run the packet simulator on a small PolarStar instance"

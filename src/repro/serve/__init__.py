@@ -11,19 +11,17 @@ The serving layer turns the store's cached int16 distance tables (the
 * :mod:`repro.serve.server` — asyncio NDJSON TCP front end with request
   coalescing, bounded in-flight backpressure, deadline-aware admission,
   live ``faults`` admin ops and graceful drain;
-* :mod:`repro.serve.client` — blocking batch client (tests, CLI, bench);
+* :mod:`repro.serve.client` — blocking batch client (tests, CI, the retrying client);
 * :mod:`repro.serve.reliability` — client reliability kit: seeded backoff,
   circuit breaker, idempotent retrying client;
 * :mod:`repro.serve.chaos` — chaos harness: query burst vs fault epochs
-  and SIGKILL/restart cycles, checked against the offline oracle;
-* :mod:`repro.serve.bench` — load generator emitting ``BENCH_serve.json``.
+  and SIGKILL/restart cycles, checked against the offline oracle.
 
 See ``docs/SERVING.md`` for the protocol, operational semantics, the
 resilience model and the RL112/RL113 serve-discipline rules this package
 is written under.
 """
 
-from repro.serve.bench import format_bench, run_bench
 from repro.serve.chaos import ChaosConfig, format_chaos, run_chaos
 from repro.serve.client import ServeClient, ServeError, wait_until_ready
 from repro.serve.engine import (
@@ -68,10 +66,8 @@ __all__ = [
     "ShardRegistry",
     "TableShard",
     "UnknownTopologyError",
-    "format_bench",
     "format_chaos",
     "plan_batch",
-    "run_bench",
     "run_chaos",
     "run_server",
     "wait_until_ready",

@@ -65,12 +65,19 @@ def plan_batch(pairs: object, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``pairs`` is anything array-like of shape ``(k, 2)`` (a list of
     ``[src, dst]`` pairs, the protocol's JSON payload).  Raises
     :class:`BadBatchError` on ragged or wrong-shape input, non-integer
-    entries, or vertex ids outside ``[0, n)``.
+    entries, or vertex ids outside ``[0, n)``.  Entries are judged by the
+    dtype NumPy infers: floats, bools, strings and ints beyond int64
+    (inferred as float or object) are rejected, never cast.
     """
     try:
-        arr = np.asarray(pairs, dtype=np.int64)
+        arr = np.asarray(pairs)
     except (ValueError, TypeError) as exc:
         raise BadBatchError(f"pairs must be an array of [src, dst]: {exc}") from exc
+    if arr.size and arr.dtype.kind not in "iu":
+        raise BadBatchError(
+            f"pairs must hold integer vertex ids, got {arr.dtype} entries"
+        )
+    arr = arr.astype(np.int64, copy=False)
     if arr.size == 0:
         arr = arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -286,7 +293,8 @@ class QueryEngine:
 
     The engine is pure-sync and stateless apart from the registry: the
     asyncio front end (:mod:`repro.serve.server`), the CLI ``repro route``
-    command, the bench harness and tests all share this one code path.
+    command, perfbench's ``serve_mixed`` workload, CI and tests all share
+    this one code path.
     """
 
     def __init__(self, registry: ShardRegistry) -> None:

@@ -14,8 +14,8 @@ for fault-free minimal runs, and one per-arrival loop for UGAL and
 fault-aware runs, with its per-cycle send scatter),
 :mod:`~repro.sim.packet.state` (the per-arrival loop's columnar packet
 arrays and link mirrors) and :mod:`~repro.sim.packet.reference` (the spec
-engine).  See docs/SIMULATORS.md for the parity guarantee and bench
-instructions.
+engine).  See docs/SIMULATORS.md for the parity guarantee and how the
+two engines are compared.
 """
 
 from repro.sim.packet.engine import PacketSimulator, latency_load_sweep

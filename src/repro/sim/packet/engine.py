@@ -182,8 +182,8 @@ class PacketSimulator(ReferencePacketSimulator):
     fast loops of this module; ``"reference"`` runs the pinned scalar
     event-heap loop.  Both produce byte-identical
     :class:`~repro.sim.packet.reference.PacketSimResult` values on the same
-    seeded inputs — the reference engine exists as the parity baseline and
-    for ``repro bench packet``.
+    seeded inputs — the reference engine exists as the parity baseline of
+    the tests, perfbench's packet oracle and CI's ``perf-smoke`` floor.
     """
 
     def __init__(

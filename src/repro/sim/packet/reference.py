@@ -4,8 +4,9 @@ This module is the **semantic specification** of the packet simulator: an
 event-driven, object-per-packet heap loop kept deliberately simple.  The
 fast loops of :mod:`repro.sim.packet.engine` (the default) must reproduce
 its :class:`PacketSimResult` byte-for-byte on seeded runs — the parity
-tests and ``repro bench packet`` both run this engine as the baseline
-(select it with ``PacketSimulator(..., engine="reference")``).
+tests, perfbench's packet oracle and CI's ``perf-smoke`` speedup floor
+run this engine as the baseline (select it with
+``PacketSimulator(..., engine="reference")``).
 
 Models the mechanisms that shape the Fig. 9/10 latency-load curves:
 

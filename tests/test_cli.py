@@ -128,6 +128,9 @@ class TestCommands:
         ["faults", "inject", "--radix", "7", "--fail-links", "nan"],
         ["sim", "--radix", "7", "--fail-links", "1.5"],
         ["faults", "schedule", "--scale", "reduced", "--fail-links", "1.5"],
+        ["faults", "sweep", "--fractions", "0.1,x"],
+        ["faults", "sweep", "--fractions", "1.5"],
+        ["faults", "sweep", "--fractions", "0,nan"],
     ])
     def test_bad_fault_knobs_rejected_in_one_line(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -135,21 +138,30 @@ class TestCommands:
         msg = str(exc.value.code)
         assert msg.startswith("invalid fault schedule:") and "\n" not in msg
 
+    @pytest.mark.parametrize("pairs_text, argv, prefix", [
+        ("0 x\n", ["route", "--pairs-file", "{file}"],
+         "{file}:1: expected 'src dst', got '0 x'"),
+        ("0 1\n0 1.5\n", ["route", "--pairs-file", "{file}"],
+         "{file}:2: expected 'src dst', got '0 1.5'"),
+        (None, ["route", "--pairs-file", "{file}"], "cannot read --pairs-file:"),
+        (None, ["faults", "sweep", "--load", "-1"], "invalid packet-sim input:"),
+        (None, ["topology", "hx", "--dims", "9xa"], "invalid --dims '9xa'"),
+    ], ids=["pair-not-int", "pair-float", "pairs-file-missing", "sweep-load",
+            "hx-dims"])
+    def test_malformed_input_exits_in_one_line(
+        self, tmp_path, pairs_text, argv, prefix
+    ):
+        path = tmp_path / "pairs.txt"
+        if pairs_text is not None:
+            path.write_text(pairs_text)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.replace("{file}", str(path)) for arg in argv])
+        msg = str(exc.value.code)
+        assert msg.startswith(prefix.replace("{file}", str(path)))
+        assert "\n" not in msg
+
     def test_faults_inject_with_empty_schedule(self, capsys):
         assert main(["faults", "inject", "--radix", "7", "--measure-cycles", "200",
                      "--warmup-cycles", "50", "--drain-cycles", "200"]) == 0
         out = capsys.readouterr().out
         assert "FaultSchedule(0 events, {})" in out and "rungs={}" in out
-
-    def test_serve_bench_writes_report(self, tmp_path, capsys):
-        out_path = tmp_path / "bench.json"
-        assert main([
-            "serve", "bench", "--topology", "PS-IQ", "--scale", "reduced",
-            "--pairs", "2048", "--batch-sizes", "1", "64", "2048",
-            "--out", str(out_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "vectorized speedup vs scalar" in out
-        doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "repro.serve.bench/v1"
-        assert doc["speedup_vs_scalar"] > 1.0

@@ -500,6 +500,17 @@ class TestConfigErrors:
                 "[tool.repro-lint.rules.RL203.functions]\nvalue = 'oops'\n",
             )
 
+    def test_retired_rule_option_is_rejected(self, tmp_path):
+        # RL206 read exempt-dirs until its scope moved into the sanctioned
+        # table; a stale option must fail loudly, not load and do nothing.
+        with pytest.raises(
+            ConfigError, match=r"unknown key 'rules\.RL206\.exempt-dirs'"
+        ):
+            self._load(
+                tmp_path,
+                "[tool.repro-lint.rules.RL206]\nexempt-dirs = ['graphs']\n",
+            )
+
     def test_exclude_must_be_string_list(self, tmp_path):
         with pytest.raises(ConfigError, match=r"'exclude'.*list of strings"):
             self._load(tmp_path, "[tool.repro-lint]\nexclude = 'src'\n")

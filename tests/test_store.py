@@ -317,7 +317,7 @@ class TestProvider:
     def test_table_router_parity_and_shared_table(self):
         topo = store.table3_topology("DF", scale="reduced")
         cached = store.table_router(topo)
-        direct = TableRouter(topo.graph)  # repro-lint: disable=RL107
+        direct = TableRouter(topo.graph)
         assert np.array_equal(cached.dist, direct.dist)
         for s_, d_ in [(0, 5), (3, 11), (7, 7)]:
             assert cached.next_hops(s_, d_) == list(direct.next_hops(s_, d_))

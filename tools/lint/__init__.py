@@ -16,7 +16,7 @@ Architecture
 * :mod:`tools.lint.core` — ``Rule`` base class, ``Violation``, the rule
   registry, and ``# repro-lint: disable=...`` suppression handling;
 * :mod:`tools.lint.config` — ``[tool.repro-lint]`` loading from
-  ``pyproject.toml`` (path scoping, severities, per-rule options);
+  ``pyproject.toml`` (per-rule enabling, severities and path scoping);
 * :mod:`tools.lint.rules` — the per-file rule catalog (contracts,
   numerics, API hygiene);
 * :mod:`tools.lint.program` — whole-program passes over a project model

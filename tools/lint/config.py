@@ -9,12 +9,12 @@ Configuration lives in ``[tool.repro-lint]`` of the repo's
     [tool.repro-lint.rules.RL203]
     paths = ["src/repro/sim", "src/repro/routing"]
     severity = "error"
-    functions = ["zeros", "ones", "empty", "full"]
 
-Every rule table accepts ``enabled`` (bool), ``severity`` (``error`` /
-``warning``) and ``paths`` (list of path prefixes the rule is restricted
-to); remaining keys are rule-specific options handed to the rule instance.
-Rules may also be addressed by slug (``rules.implicit-dtype``).
+A rule table accepts exactly three keys: ``enabled`` (bool), ``severity``
+(``error`` / ``warning``) and ``paths`` (list of path prefixes the rule
+is restricted to).  Rules take no other options; what a rule matches is
+a constant in its source.  Rules may also be addressed by slug
+(``rules.implicit-dtype``).
 
 Malformed configuration raises :class:`ConfigError` with a message naming
 the offending key — never a bare traceback from deep inside a rule.
@@ -37,9 +37,8 @@ ALWAYS_EXCLUDE = (".git", "__pycache__", ".github", ".repro-lint-cache")
 #: Keys recognized at the ``[tool.repro-lint]`` top level.
 _TOP_LEVEL_KEYS = ("exclude", "rules")
 
-#: Keys every rule table understands (anything else is a rule-specific
-#: option — allowed, but its value must be a plain scalar or string list).
-_COMMON_RULE_KEYS = ("enabled", "severity", "paths")
+#: The only keys a rule table accepts.
+_RULE_KEYS = ("enabled", "severity", "paths")
 
 
 class ConfigError(ValueError):
@@ -118,15 +117,13 @@ def _validate_rule_table(key: str, table: Any) -> dict:
             # A nested table under a rule is always a typo (e.g. a
             # mis-indented [tool.repro-lint.rules.RL203.paths] header).
             raise ConfigError(
-                f"[tool.repro-lint] key {where!r}: rule options must be "
-                "scalars or string lists, not tables"
+                f"[tool.repro-lint] key {where!r}: a rule table takes "
+                f"{', '.join(_RULE_KEYS)}, not tables"
             )
-        elif isinstance(value, list):
-            value = list(_require_str_list(value, where))
-        elif not isinstance(value, (str, bool, int, float)):
+        else:
             raise ConfigError(
-                f"[tool.repro-lint] key {where!r}: unsupported value type "
-                f"{_type_name(value)}"
+                f"[tool.repro-lint] unknown key {where!r}; expected one of "
+                f"{', '.join(_RULE_KEYS)}"
             )
         out[opt] = value
     return out

@@ -182,7 +182,7 @@ class Rule:
     description: str = ""
 
     def __init__(self, options: dict | None = None):
-        #: Per-rule options merged from pyproject (rule-specific keys).
+        #: ``enabled``/``severity``/``paths`` merged from pyproject.
         self.options = dict(options or {})
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
@@ -198,9 +198,6 @@ class Rule:
             message=message,
             severity=self.severity,
         )
-
-    def option(self, key: str, default):
-        return self.options.get(key, default)
 
 
 _REGISTRY: dict[str, type[Rule]] = {}

@@ -28,8 +28,8 @@ class ProgramRule:
     """Base class for whole-program passes.
 
     Mirrors :class:`tools.lint.core.Rule` (code/name/severity/default_paths
-    and per-rule options from pyproject), but :meth:`check` receives the
-    project model and call graph.
+    and the pyproject overrides), but :meth:`check` receives the project
+    model and call graph.
     """
 
     code: str = ""
@@ -57,9 +57,6 @@ class ProgramRule:
             message=message,
             severity=self.severity,
         )
-
-    def option(self, key: str, default):
-        return self.options.get(key, default)
 
 
 _PROGRAM_REGISTRY: dict[str, type[ProgramRule]] = {}

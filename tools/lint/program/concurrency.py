@@ -48,12 +48,11 @@ _POOL_SUBMIT = frozenset(
 )
 
 
-def worker_reachable(model: ProjectModel, graph: CallGraph,
-                     extra_entrypoints: tuple[str, ...] = ()) -> set[str]:
+def worker_reachable(model: ProjectModel, graph: CallGraph) -> set[str]:
     """Function ids reachable from the worker entry points."""
     roots: list[str] = []
     for func_id, fn in graph.functions.items():
-        if func_id in _ENTRYPOINT_IDS or func_id in extra_entrypoints:
+        if func_id in _ENTRYPOINT_IDS:
             roots.append(func_id)
         elif fn.name in _ENTRYPOINT_NAMES and fn.class_name is None:
             roots.append(func_id)
@@ -93,8 +92,7 @@ class WorkerSharedState(ProgramRule):
     )
 
     def check(self, model: ProjectModel, graph: CallGraph) -> Iterator[Violation]:
-        extra = tuple(self.option("entrypoints", ()))
-        reachable = worker_reachable(model, graph, extra)
+        reachable = worker_reachable(model, graph)
         for func_id in sorted(reachable):
             fn = graph.functions.get(func_id)
             if fn is None:

@@ -152,18 +152,15 @@ class DeadExport(ProgramRule):
     )
 
     #: Packages whose exports serve external consumers, not this repo.
-    DEFAULT_EXEMPT_MODULES = ("repro",)
+    EXEMPT_MODULES = ("repro",)
     #: Trial-API names dispatched dynamically (importlib / getattr) by the
     #: runtime plan layer — those edges are invisible to the static graph.
-    DEFAULT_EXEMPT_NAMES = (
+    EXEMPT_NAMES = (
         "run_trial", "plan_trials", "merge_trials", "format_figure",
         "format_table", "TRIAL_FIDELITY",
     )
 
     def check(self, model: ProjectModel, graph: CallGraph) -> Iterator[Violation]:
-        exempt = tuple(self.option("exempt-modules", self.DEFAULT_EXEMPT_MODULES))
-        exempt_names = tuple(self.option("exempt-names", self.DEFAULT_EXEMPT_NAMES))
-        check_packages = bool(self.option("check-packages", False))
         used: set[tuple[str, str]] = set()
 
         def mark_chain(dotted: str) -> None:
@@ -227,9 +224,9 @@ class DeadExport(ProgramRule):
             mod = model.modules[name]
             if not mod.rel_path.startswith("src/repro"):
                 continue
-            if name in exempt:
+            if name in self.EXEMPT_MODULES:
                 continue
-            if mod.is_package and not check_packages:
+            if mod.is_package:
                 # Package __init__ re-export lists are the outward API
                 # surface; external consumers are invisible to this scan.
                 continue
@@ -239,7 +236,7 @@ class DeadExport(ProgramRule):
             for export_name, lineno in mod.exports:
                 if (name, export_name) in used:
                     continue
-                if export_name in exempt_names:
+                if export_name in self.EXEMPT_NAMES:
                     continue
                 if export_name in same_module_uses:
                     continue

@@ -107,18 +107,17 @@ class DeterminismTaint(ProgramRule):
     )
 
     #: functions that feed trial results / journal records / --out artifacts.
-    DEFAULT_SINKS = ("run_trial", "plan_trials", "merge_trials")
+    SINKS = ("run_trial", "plan_trials", "merge_trials")
     #: modules whose internals are never treated as tainted.
-    DEFAULT_EXEMPT_MODULES = ("repro.obs",)
+    EXEMPT_MODULES = ("repro.obs",)
 
     def check(self, model: ProjectModel, graph: CallGraph) -> Iterator[Violation]:
-        sinks = tuple(self.option("sinks", self.DEFAULT_SINKS))
-        exempt = tuple(self.option("exempt-modules", self.DEFAULT_EXEMPT_MODULES))
         memo: dict[str, _Taint | None] = {}
 
         def module_exempt(func_id: str) -> bool:
             return any(
-                func_id == m or func_id.startswith(m + ".") for m in exempt
+                func_id == m or func_id.startswith(m + ".")
+                for m in self.EXEMPT_MODULES
             )
 
         def direct_sources(fn: FunctionInfo) -> _Taint | None:
@@ -171,7 +170,7 @@ class DeterminismTaint(ProgramRule):
 
         for func_id in sorted(graph.functions):
             fn = graph.functions[func_id]
-            if fn.name not in sinks or fn.class_name is not None:
+            if fn.name not in self.SINKS or fn.class_name is not None:
                 continue
             mod = model.modules[fn.module]
             if not mod.rel_path.startswith("src/repro"):

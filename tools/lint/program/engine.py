@@ -29,7 +29,7 @@ from tools.lint.program.model import build_project_model
 __all__ = ["ENGINE_VERSION", "analyze_program", "build_program_rules"]
 
 #: Bump when pass semantics change: invalidates every cache entry.
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 
 #: How many cache entries to keep (newest first).
 _CACHE_KEEP = 8

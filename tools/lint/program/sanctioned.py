@@ -145,14 +145,13 @@ CLAUSES: tuple[Clause, ...] = (
     ),
     # Wall-clock discipline: phases are timed through obs.span so profiles
     # land in the metrics export.  repro.obs owns the clock; the runtime
-    # (heartbeats, deadlines, backoff), serve (coalescing deadlines,
-    # request latency) and bench (engine timings are its product) read it
-    # for their own purposes and never feed results from it.
+    # (heartbeats, deadlines, backoff) and serve (coalescing deadlines,
+    # request latency) read it for their own purposes and never feed
+    # results from it.
     Clause(
         "RL206",
         scope=("src/repro",),
-        allowed=("src/repro/obs", "src/repro/runtime", "src/repro/serve",
-                 "src/repro/bench"),
+        allowed=("src/repro/obs", "src/repro/runtime", "src/repro/serve"),
         callees=("time.time", "time.time_ns", "time.perf_counter*",
                  "time.monotonic*", "time.process_time*", "time.thread_time*"),
         reason="reads the wall clock; wrap the phase in repro.obs.span(...) "

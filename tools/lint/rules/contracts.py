@@ -75,12 +75,13 @@ def _calls(node: ast.AST) -> Iterator[str]:
                     yield full.rsplit(".", 1)[1]
 
 
-def _validates(fn: ast.FunctionDef, factories: tuple[str, ...], validators: tuple[str, ...]) -> bool:
+def _validates(fn: ast.FunctionDef) -> bool:
     for sub in ast.walk(fn):
         if isinstance(sub, ast.Raise):
             return True
     for callee in _calls(fn):
-        if matches_any(callee, validators) or matches_any(callee, factories):
+        if (matches_any(callee, VALIDATOR_PATTERNS)
+                or matches_any(callee, FACTORY_PATTERNS)):
             return True
     return False
 
@@ -112,15 +113,12 @@ class ContractValidation(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        factories = tuple(self.option("factories", FACTORY_PATTERNS))
-        validators = tuple(self.option("validators", VALIDATOR_PATTERNS))
-
         for node in ctx.top_level(ast.FunctionDef):
             if node.name.startswith("_"):
                 continue
-            if not matches_any(node.name, factories):
+            if not matches_any(node.name, FACTORY_PATTERNS):
                 continue
-            if not _validates(node, factories, validators):
+            if not _validates(node):
                 yield self.flag(
                     ctx,
                     node,
@@ -135,7 +133,7 @@ class ContractValidation(Rule):
                     continue
                 if item.name not in CONSTRUCTOR_METHODS:
                     continue
-                if not _validates(item, factories, validators):
+                if not _validates(item):
                     yield self.flag(
                         ctx,
                         item,

@@ -76,13 +76,12 @@ class MissingAll(Rule):
     default_paths = ("src/repro",)
     description = "public library modules must declare an explicit __all__"
 
-    #: module file names exempt by default (script entry points).
-    DEFAULT_EXEMPT = ("__main__.py",)
+    #: module file names exempt (script entry points).
+    EXEMPT = ("__main__.py",)
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
         filename = ctx.path.rsplit("/", 1)[-1]
-        exempt = tuple(self.option("exempt-files", self.DEFAULT_EXEMPT))
-        if filename in exempt:
+        if filename in self.EXEMPT:
             return
         if filename.startswith("_") and filename != "__init__.py":
             return

@@ -142,7 +142,7 @@ class BroadExcept(Rule):
 
 
 _NUMPY_ALIASES = ("np", "numpy")
-_DEFAULT_ALLOCATORS = ("zeros", "ones", "empty", "full")
+_ALLOCATORS = ("zeros", "ones", "empty", "full")
 
 
 @register
@@ -165,7 +165,6 @@ class ImplicitDtype(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
-        allocators = tuple(self.option("functions", _DEFAULT_ALLOCATORS))
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -173,7 +172,7 @@ class ImplicitDtype(Rule):
             if callee is None or "." not in callee:
                 continue
             base, _, attr = callee.rpartition(".")
-            if base not in _NUMPY_ALIASES or attr not in allocators:
+            if base not in _NUMPY_ALIASES or attr not in _ALLOCATORS:
                 continue
             # dtype may be the positional argument after the shape/fill.
             positional_dtype = {"zeros": 2, "ones": 2, "empty": 2, "full": 3}
