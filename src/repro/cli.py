@@ -101,6 +101,8 @@ def _cmd_topology(args) -> int:
                 f"invalid --dims {args.dims!r}: expected integers joined by "
                 "'x', e.g. 9x9x8"
             )
+        if min(dims) < 1:
+            raise SystemExit(f"invalid --dims {args.dims!r}: every dimension must be positive")
         topo = store.topology("hyperx", dims=dims, p=args.p)
     else:
         raise SystemExit(f"unknown topology kind {args.kind!r}")
@@ -341,6 +343,16 @@ def _parse_fractions(text: str) -> tuple[float, ...]:
     return fractions
 
 
+def _check_table3_names(names, scale: str) -> None:
+    """Exit in one line on a name that is no Table 3 network at *scale*."""
+    from repro.topologies.table3 import REDUCED_BUILDERS, TABLE3_BUILDERS
+
+    options = list(TABLE3_BUILDERS if scale == "full" else REDUCED_BUILDERS)
+    for name in names:
+        if name not in options:
+            raise SystemExit(f"unknown topology {name!r}; options: {', '.join(options)}")
+
+
 def _cmd_faults_sweep(args) -> int:
     """Delivered-fraction sweep over failed-link fractions (fig14_dynamic)."""
     import json
@@ -349,6 +361,7 @@ def _cmd_faults_sweep(args) -> int:
     from repro.experiments.common import obs_session
 
     topos = tuple(args.topo) if args.topo else ("PS-IQ",)
+    _check_table3_names(topos, "reduced")
     fractions = _parse_fractions(args.fractions)
     _check_load(args.load)
     with obs_session(
@@ -613,6 +626,7 @@ def _cmd_store(args) -> int:
         from repro.experiments.common import obs_session
 
         names = list(args.topo) if args.topo else ["PS-IQ"]
+        _check_table3_names(names, args.scale)
         with obs_session(args.metrics_out, warm=names, scale=args.scale):
             for name in names:
                 topo = store.table3_topology(name, scale=args.scale)

@@ -18,8 +18,30 @@ from repro.graphs.base import Graph
 __all__ = [
     "HopView",
     "Router",
+    "check_pairs",
     "route_path",
 ]
+
+
+def check_pairs(current, dest, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """*current* and *dest* as matching 1-D int64 arrays of router ids.
+
+    Raises ``ValueError`` for any other shape, for non-integer ids and for
+    an id outside ``[0, n)``: fancy indexing would wrap a negative id into
+    a wrong answer instead of failing.
+    """
+    cur, dst = np.asarray(current), np.asarray(dest)
+    if cur.shape != dst.shape or cur.ndim != 1:
+        raise ValueError("current and dest must be matching 1-D id arrays")
+    if cur.size == 0:
+        return cur.astype(np.int64), dst.astype(np.int64)
+    for ids in (cur, dst):
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError(f"router ids must be integers, not {ids.dtype}")
+        if ids.min() < 0 or ids.max() >= n:
+            bad = ids[(ids < 0) | (ids >= n)][0]
+            raise ValueError(f"router id {bad} is outside [0, {n})")
+    return cur.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
 
 
 class HopView(Sequence[int]):
@@ -110,14 +132,30 @@ class Router(ABC):
     def next_hop_batch(self, current: np.ndarray, dest: np.ndarray) -> np.ndarray:
         """:meth:`next_hop` of every pair ``(current[i], dest[i])`` as int64,
         ``-1`` where ``current == dest`` or *dest* is unreachable (empty
-        :meth:`next_hops`).  This default asks :meth:`next_hops` pair by
-        pair; routers with an array kernel override it."""
+        :meth:`next_hops`); ids outside ``[0, n)`` raise ``ValueError``.
+
+        This default asks :meth:`next_hops` pair by pair.  The routers the
+        flow solver and the packet engine's tables ask for whole batches
+        (table, PolarStar, Dragonfly) override it with array kernels.
+        """
+        cur, dst = check_pairs(current, dest, self.graph.n)
         hops = self.next_hops
         out: list[int] = []
-        for u, t in zip(np.asarray(current).tolist(), np.asarray(dest).tolist()):
+        for u, t in zip(cur.tolist(), dst.tolist()):
             cand = hops(u, t) if u != t else ()
             out.append(int(cand[0]) if cand else -1)
         return np.array(out, dtype=np.int64)
+
+    def distance_batch(self, current: np.ndarray, dest: np.ndarray) -> np.ndarray:
+        """:meth:`distance` of every pair ``(current[i], dest[i])`` as int64
+        (``0`` where ``current == dest``); ids outside ``[0, n)`` raise
+        ``ValueError``.  This default asks :meth:`distance` pair by pair;
+        the same routers as for :meth:`next_hop_batch` override it."""
+        cur, dst = check_pairs(current, dest, self.graph.n)
+        dist = self.distance
+        return np.array(
+            [dist(u, t) for u, t in zip(cur.tolist(), dst.tolist())], dtype=np.int64
+        )
 
 
 def route_path(router: Router, src: int, dest: int, max_hops: int = 64) -> list[int]:

@@ -4,14 +4,16 @@ Stores only a group-pair gateway table (``O(g²)``), not per-router state:
 a packet in group *G* headed for group *T* first moves locally to the
 router owning the single G–T global link, crosses it, then moves locally to
 the destination router.  This matches Booksim's built-in Dragonfly MIN
-routing (§9.1).
+routing (§9.1).  ``next_hop_batch`` and ``distance_batch`` compute the
+same l-g-l answers for whole arrays of pairs from two gathers on
+``groups`` and two on ``gateway``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.routing.base import Router
+from repro.routing.base import Router, check_pairs
 from repro.topologies.base import Topology
 
 __all__ = [
@@ -62,6 +64,22 @@ class DragonflyRouter(Router):
             dst_gw = int(self.gateway[gt, gc])
             return [dst_gw]
         return [src_gw]
+
+    def _gateways(self, current, dest):
+        cur, dst = check_pairs(current, dest, self.graph.n)
+        gc, gt = self.groups[cur], self.groups[dst]
+        return cur, dst, gc == gt, self.gateway[gc, gt], self.gateway[gt, gc]
+
+    def next_hop_batch(self, current: np.ndarray, dest: np.ndarray) -> np.ndarray:
+        cur, dst, local, src_gw, dst_gw = self._gateways(current, dest)
+        hop = np.where(local, dst, np.where(cur == src_gw, dst_gw, src_gw))
+        hop[cur == dst] = -1
+        return hop
+
+    def distance_batch(self, current: np.ndarray, dest: np.ndarray) -> np.ndarray:
+        cur, dst, local, src_gw, dst_gw = self._gateways(current, dest)
+        hops = (cur != src_gw).astype(np.int64) + 1 + (dst != dst_gw)
+        return np.where(cur == dst, 0, np.where(local, 1, hops))
 
     @property
     def table_bytes(self) -> int:

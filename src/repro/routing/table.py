@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import obs
 from repro.graphs.base import Graph
-from repro.routing.base import HopView, Router
+from repro.routing.base import HopView, Router, check_pairs
 
 __all__ = [
     "TableRouter",
@@ -176,7 +176,12 @@ class TableRouter(Router):
         return HopView(closer)
 
     def next_hop_batch(self, current: np.ndarray, dest: np.ndarray) -> np.ndarray:
-        return first_minimal_hops(self.graph, self.dist, current, dest)
+        cur, dst = check_pairs(current, dest, self.graph.n)
+        return first_minimal_hops(self.graph, self.dist, cur, dst)
+
+    def distance_batch(self, current: np.ndarray, dest: np.ndarray) -> np.ndarray:
+        cur, dst = check_pairs(current, dest, self.graph.n)
+        return self.dist[cur, dst].astype(np.int64)
 
     def num_minimal_paths(self, src: int, dest: int) -> int:
         """Count of distinct minimal paths (path-diversity metric)."""

@@ -37,13 +37,12 @@ def max_route_hops(
     n = topology.num_routers
     rng = np.random.default_rng(0)
     if sample is None or sample >= n:
-        sources = range(n)
+        sources = np.arange(n, dtype=np.int64)
     else:
         sources = rng.choice(n, size=sample, replace=False)
-    worst = 0
-    for u in sources:
-        for t in range(n):
-            worst = max(worst, router.distance(int(u), t))
+    cur = np.repeat(sources, n)
+    dst = np.tile(np.arange(n, dtype=np.int64), len(sources))
+    worst = int(router.distance_batch(cur, dst).max(initial=0))
     return 2 * worst if valiant else worst
 
 

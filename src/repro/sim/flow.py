@@ -151,10 +151,12 @@ def _link_loads_single(g: Graph, router: Router, demand: np.ndarray) -> np.ndarr
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
     keys = np.append(rows * n + g.indices, n * n)
     loads = np.zeros(len(rows), dtype=np.float64)
-    off = demand.astype(np.float64)
-    np.fill_diagonal(off, 0.0)
-    cur, dst = (a.astype(np.int64) for a in np.nonzero(off))
-    weight = off[cur, dst]
+    # The demanded off-diagonal pairs in row-major order, read without an
+    # (n, n) copy of the demand.
+    cur, dst = (a.astype(np.int64, copy=False) for a in np.nonzero(demand))
+    off = cur != dst
+    cur, dst = cur[off], dst[off]
+    weight = demand[cur, dst].astype(np.float64, copy=False)
     for _ in range(n):
         if not len(cur):
             return loads

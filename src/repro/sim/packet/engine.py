@@ -66,17 +66,13 @@ __all__ = [
 ]
 
 #: Per-router-object distance-table memo for the fault-free UGAL path
-#: (values are exactly ``router.distance(u, t)`` flattened to a list).
+#: (one ``router.distance_batch`` over all ``n²`` pairs, as a flat list).
 _DIST_TABLES: "weakref.WeakKeyDictionary[Router, list[int]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def _distance_table(router: Router) -> list[int]:
-    # Imported here (not at module level): repro.routing.table pulls in the
-    # analysis/topologies/store stack, which circularly imports repro.routing.
-    from repro.routing.table import TableRouter
-
     try:
         cached = _DIST_TABLES.get(router)
     except TypeError:
@@ -84,11 +80,9 @@ def _distance_table(router: Router) -> list[int]:
     if cached is not None:
         return cached
     n = router.graph.n
-    if isinstance(router, TableRouter):
-        flat = router.dist.astype(np.int64).ravel().tolist()
-    else:
-        dist = router.distance
-        flat = [dist(u, t) for u in range(n) for t in range(n)]
+    cur = np.repeat(np.arange(n, dtype=np.int64), n)
+    dst = np.tile(np.arange(n, dtype=np.int64), n)
+    flat = router.distance_batch(cur, dst).tolist()
     try:
         _DIST_TABLES[router] = flat
     except TypeError:

@@ -146,8 +146,13 @@ class TestCommands:
         (None, ["route", "--pairs-file", "{file}"], "cannot read --pairs-file:"),
         (None, ["faults", "sweep", "--load", "-1"], "invalid packet-sim input:"),
         (None, ["topology", "hx", "--dims", "9xa"], "invalid --dims '9xa'"),
+        (None, ["topology", "hx", "--dims", "0x3"], "invalid --dims '0x3': "),
+        (None, ["faults", "sweep", "--topo", "NOPE"],
+         "unknown topology 'NOPE'; options: PS-IQ, PS-Pal,"),
+        (None, ["store", "warm", "--topo", "NOPE"],
+         "unknown topology 'NOPE'; options: PS-IQ, PS-Pal,"),
     ], ids=["pair-not-int", "pair-float", "pairs-file-missing", "sweep-load",
-            "hx-dims"])
+            "hx-dims", "hx-dims-zero", "sweep-topo", "warm-topo"])
     def test_malformed_input_exits_in_one_line(
         self, tmp_path, pairs_text, argv, prefix
     ):

@@ -418,6 +418,9 @@ BATCH_ROUTERS = [
     "hyperx",
     "hyperx-doal",
     "fault-aware",
+    "reduced-PS-IQ",
+    "reduced-PS-Pal",
+    "reduced-DF",
 ]
 
 
@@ -430,6 +433,10 @@ def _batch_router(name):
 
     if name == "table-disconnected":
         return TableRouter(Graph(6, [(0, 1), (1, 2), (3, 4)], name="split"))
+    if name.startswith("reduced-"):
+        from repro import store
+
+        return store.table3_router(name.split("-", 1)[1], scale="reduced")[0]
     if name.startswith("polarstar-"):
         return _polarstar(name.split("-")[1], 3, 3 if name.endswith("iq") else 2)[1]
     if name == "dragonfly":
@@ -464,3 +471,15 @@ class TestNextHopBatch:
         assert (got.reshape(n, n).diagonal() == -1).all()
         if name == "table-disconnected":
             assert got.reshape(n, n)[0, 3] == -1 and got.reshape(n, n)[0, 5] == -1
+
+    @pytest.mark.parametrize("name", BATCH_ROUTERS)
+    def test_distance_batch_matches_distance_pair_by_pair(self, name):
+        router = _batch_router(name)
+        n = router.graph.n
+        cur = np.repeat(np.arange(n), n)
+        dst = np.tile(np.arange(n), n)
+        got = router.distance_batch(cur, dst)
+        assert got.dtype == np.int64 and got.shape == (n * n,)
+        want = [router.distance(u, t) for u, t in zip(cur.tolist(), dst.tolist())]
+        np.testing.assert_array_equal(got, want)
+        assert (got.reshape(n, n).diagonal() == 0).all()

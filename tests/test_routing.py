@@ -1,10 +1,12 @@
 """Routing tests: the analytic PolarStar router is validated against a BFS
-oracle on every vertex pair of several PolarStar instances."""
+oracle on every vertex pair of several PolarStar instances, and its array
+kernel on every pair of every feasible configuration up to radix 16."""
 
 import numpy as np
 import pytest
 
-from repro.core import PolarStarConfig, build_polarstar
+from repro.analysis import hop_distances
+from repro.core import PolarStarConfig, build_polarstar, design_space
 from repro.routing import (
     DragonflyRouter,
     HyperXRouter,
@@ -28,6 +30,48 @@ PS_CONFIGS = [
     PolarStarConfig(q=4, dprime=4, supernode_kind="paley"),
     PolarStarConfig(q=5, dprime=2, supernode_kind="paley"),
 ]
+
+#: Every feasible (q, d', kind) of radix 3..16: 72 configs, 20.3M pairs.
+DESIGN_SPACE = [cfg for radix in range(3, 17) for cfg in design_space(radix)]
+
+
+def assert_routes_match_bfs(router, max_pairs=2_000_000):
+    """Check a router's array kernel on every (u, t) pair against BFS.
+
+    ``distance_batch`` must equal the BFS hop distance, and a lockstep walk
+    of every pair through ``next_hop_batch`` must cross only real links and
+    arrive in exactly that many hops.  Sources go in blocks of at most
+    *max_pairs* pairs, each with its own :func:`hop_distances` rows (the
+    rows of ``build_distance_table``), so memory stays bounded.  Returns
+    the number of pairs checked.
+    """
+    graph = router.graph
+    n = graph.n
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices] = True
+    rows = max(1, max_pairs // n)
+    for lo in range(0, n, rows):
+        sources = np.arange(lo, min(lo + rows, n))
+        bfs = hop_distances(graph, sources).ravel()
+        cur = np.repeat(sources, n)
+        dst = np.tile(np.arange(n), len(sources))
+        np.testing.assert_array_equal(router.distance_batch(cur, dst), bfs, err_msg=graph.name)
+        hops = np.zeros(len(cur), dtype=np.int64)
+        live = np.flatnonzero(cur != dst)
+        at = cur[live]
+        for _ in range(int(bfs.max())):
+            nxt = router.next_hop_batch(at, dst[live])
+            bad = (nxt < 0) | ~adj[at, np.maximum(nxt, 0)]
+            assert not bad.any(), (
+                f"{graph.name}: hop {at[bad][0]} -> {nxt[bad][0]} towards "
+                f"{dst[live][bad][0]} is not a link"
+            )
+            hops[live] += 1
+            going = nxt != dst[live]
+            live, at = live[going], nxt[going]
+        assert not len(live), f"{graph.name}: {len(live)} walks longer than BFS"
+        np.testing.assert_array_equal(hops, bfs, err_msg=graph.name)
+    return n * n
 
 
 class TestTableRouter:
@@ -110,6 +154,39 @@ class TestPolarStarRouterScale:
         analytic = PolarStarRouter(sp)
         table = TableRouter(sp.graph)
         assert analytic.table_bytes < table.table_bytes / 5
+
+
+@pytest.mark.parametrize("cfg", DESIGN_SPACE, ids=lambda c: c.name)
+def test_kernel_matches_bfs_on_the_design_space(cfg):
+    """§9.2 at every feasible radix-3..16 config: the array kernel's
+    distances and walked paths equal BFS on every pair."""
+    assert assert_routes_match_bfs(PolarStarRouter(build_polarstar(cfg))) == cfg.order**2
+
+
+def _id_check_router(name):
+    topo = dragonfly_topology(a=4, h=2, p=2)
+    if name.startswith("polarstar"):
+        return PolarStarRouter(build_polarstar(PS_CONFIGS[2 if name.endswith("iq") else 7]))
+    if name == "dragonfly":
+        return DragonflyRouter(topo)
+    if name == "table":
+        return TableRouter(topo.graph)
+    return HyperXRouter(hyperx_topology((3, 4, 2), p=2))
+
+
+@pytest.mark.parametrize("name", ["polarstar-iq", "polarstar-paley", "dragonfly", "table", "hyperx"])
+@pytest.mark.parametrize("method", ["next_hop_batch", "distance_batch"])
+def test_batch_ids_outside_the_network_raise(name, method):
+    """A negative id would wrap under fancy indexing; every batch entry
+    point rejects ids outside [0, n) and malformed id arrays instead."""
+    router = _id_check_router(name)
+    call = getattr(router, method)
+    n = router.graph.n
+    for cur, dst in [([0, -1], [1, 2]), ([0, 1], [n, 2]), ([0.0], [1]), ([[0]], [[1]]), ([0, 1], [1])]:
+        with pytest.raises(ValueError):
+            call(np.array(cur), np.array(dst))
+    assert call(np.array([0, n - 1]), np.array([n - 1, 0])).shape == (2,)
+    assert call(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).shape == (0,)
 
 
 class TestDragonflyRouter:
