@@ -428,8 +428,12 @@ def _cmd_faults_crashpoints(args) -> int:
 
 
 def _parse_run_opts(pairs) -> dict:
-    """``--opt key=value`` pairs; values parse as JSON, else stay strings."""
+    """``--opt key=value`` pairs; values parse as JSON, else stay strings.
+    ``NaN`` and ``Infinity`` raise ``ValueError``: no option takes them."""
     import json
+
+    def no_constant(name: str) -> object:
+        raise ValueError(f"{name} is not a valid option value")
 
     opts = {}
     for item in pairs or ():
@@ -437,7 +441,7 @@ def _parse_run_opts(pairs) -> dict:
         if not sep or not key:
             raise SystemExit(f"--opt expects key=value, got {item!r}")
         try:
-            opts[key] = json.loads(raw)
+            opts[key] = json.loads(raw, parse_constant=no_constant)
         except json.JSONDecodeError:
             opts[key] = raw
     return opts
@@ -505,7 +509,10 @@ def _cmd_run(args) -> int:
             f"unknown runnable experiment {args.experiment!r}; options: "
             f"{list(runtime.PLANNED_EXPERIMENTS)} (or 'status')"
         )
-    plan = runtime.build_plan(args.experiment, _parse_run_opts(args.opt))
+    try:
+        plan = runtime.build_plan(args.experiment, _parse_run_opts(args.opt))
+    except ValueError as exc:
+        raise SystemExit(f"invalid --opt for {args.experiment}: {exc}")
     if args.journal:
         journal_path = Path(args.journal)
     else:
@@ -751,8 +758,6 @@ def _cmd_serve(args) -> int:
                 scale=args.scale,
                 host=args.host,
                 port=args.port,
-                max_batch=args.max_batch,
-                max_delay=args.max_delay,
                 max_inflight=args.max_inflight,
                 metrics_out=args.metrics_out,
                 fault_schedule=args.fault_schedule,
@@ -861,10 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
     svs.add_argument("--host", default="127.0.0.1")
     svs.add_argument("--port", type=int, default=0,
                      help="TCP port (0 = ephemeral, printed in the ready banner)")
-    svs.add_argument("--max-batch", type=int, default=4096,
-                     help="coalescing window flushes at this many pairs")
-    svs.add_argument("--max-delay", type=float, default=0.002,
-                     help="coalescing window flushes after this many seconds")
     svs.add_argument("--max-inflight", type=int, default=65536,
                      help="admitted-pair cap before 429 rejection")
     svs.add_argument(

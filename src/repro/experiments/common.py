@@ -1,10 +1,11 @@
 """Shared experiment utilities: routers per topology, table rendering,
-geometric means, and the observability session every driver can opt into."""
+geometric means, the in-process fold of the trial API with its option
+checks, and the observability session every experiment can opt into."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -14,8 +15,12 @@ from repro.sim.flow import link_loads, saturation, ugal_saturation_load
 from repro.topologies.base import Topology
 
 __all__ = [
+    "check_choices",
+    "check_options",
     "geometric_mean",
+    "merge_rows",
     "obs_session",
+    "run_trials",
     "saturation_row",
     "table3_instance",
     "table3_router",
@@ -44,6 +49,53 @@ def obs_session(metrics_out: str | None, **manifest_fields):
             artifacts=store.get_store().resolved(), **manifest_fields
         )
         obs.export_json(metrics_out, registry, tracer, manifest)
+
+
+def run_trials(
+    plan_trials: Callable[[dict], list[dict]],
+    run_trial: Callable[[dict], dict],
+    merge_trials: Callable[[dict, list[dict]], dict],
+    opts: dict,
+) -> dict:
+    """An experiment's trial API folded in process: plan, run every trial
+    at its default fidelity, merge.  ``repro run`` runs the same trials in
+    supervised workers."""
+    outcomes = [
+        {"params": params, "status": "done", "result": run_trial(params)}
+        for params in plan_trials(opts)
+    ]
+    return merge_trials(opts, outcomes)
+
+
+def merge_rows(opts: dict, outcomes: list[dict]) -> dict:
+    """``merge_trials`` of an experiment whose trials each return one
+    ``row``: the finished rows, in plan order."""
+    return {
+        "rows": [
+            o["result"]["row"]
+            for o in outcomes
+            if o["status"] == "done" and o["result"] is not None
+        ]
+    }
+
+
+def check_options(opts: dict, known: Collection[str]) -> None:
+    """Raise ``ValueError`` for an option key the experiment does not read."""
+    for key in opts:
+        if key not in known:
+            raise ValueError(f"unknown option {key!r}; options: {', '.join(sorted(known))}")
+
+
+def check_choices(kind: str, values: object, options: Collection[str]) -> tuple[str, ...]:
+    """*values* as a tuple, or ``ValueError`` when it is not a list or holds
+    a value outside *options* (``kind`` names the values in the message)."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"expected a list of {kind} names, got {values!r}")
+    allowed = list(options)
+    for value in values:
+        if value not in allowed:
+            raise ValueError(f"unknown {kind} {value!r}; options: {', '.join(allowed)}")
+    return tuple(values)
 
 
 def geometric_mean(values: Sequence[float]) -> float:

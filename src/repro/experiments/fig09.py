@@ -3,9 +3,10 @@
 Two reproductions at different fidelity:
 
 * :func:`run` — flow-level saturation loads at **full Table 3 scale** for
-  every topology x pattern x routing combination.  The paper's latency
-  curves saturate exactly at these loads, so "who saturates where" — the
-  figure's message — is reproduced directly.
+  every topology x pattern x routing combination (the trial API below,
+  run in process).  The paper's latency curves saturate exactly at these
+  loads, so "who saturates where" — the figure's message — is reproduced
+  directly.
 * :func:`packet_sim_curves` — event-driven packet simulation (VCs, credit
   flow control) of latency vs load on the reduced-scale analogues of
   ``table3.REDUCED_BUILDERS``.
@@ -16,13 +17,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.common import (
+    check_choices,
+    check_options,
     format_table,
+    merge_rows,
+    run_trials,
     saturation_row,
     table3_instance,
     table3_router,
 )
 from repro.sim.packet import PacketSimConfig, latency_load_sweep
 from repro.topologies.base import Topology
+from repro.topologies.table3 import TABLE3_BUILDERS
 from repro.traffic import (
     BitReversePattern,
     BitShufflePattern,
@@ -67,25 +73,22 @@ def run(
     with_ugal: bool = True,
 ) -> dict:
     """Flow-level saturation per topology x pattern combination."""
-    rows = []
-    for name in names:
-        topo = table3_instance(name)
-        router, mode = table3_router(name)
-        for pattern in patterns:
-            demand = pattern_demand(topo, pattern)
-            row = saturation_row(topo, router, mode, demand, with_ugal)
-            rows.append({"topology": name, "pattern": pattern, **row})
-    return {"rows": rows}
+    opts = {"names": names, "patterns": patterns, "with_ugal": with_ugal}
+    return run_trials(plan_trials, run_trial, merge_trials, opts)
 
 
 # -- trial API (repro.runtime) ------------------------------------------------
 
 
 def plan_trials(opts: dict) -> list[dict]:
-    """One trial per (topology, pattern) saturation cell."""
-    names = tuple(opts.get("names", DEFAULT_TOPOLOGIES))
-    patterns = tuple(
-        opts.get("patterns", ("uniform", "permutation", "bitreverse", "bitshuffle"))
+    """One trial per (topology, pattern) saturation cell; ``ValueError``
+    for an unknown option, Table 3 name or pattern."""
+    check_options(opts, ("names", "patterns", "with_ugal"))
+    names = check_choices("topology", opts.get("names", DEFAULT_TOPOLOGIES), TABLE3_BUILDERS)
+    patterns = check_choices(
+        "pattern",
+        opts.get("patterns", ("uniform", "permutation", "bitreverse", "bitshuffle")),
+        PATTERNS,
     )
     with_ugal = bool(opts.get("with_ugal", True))
     return [
@@ -105,14 +108,8 @@ def run_trial(params: dict, fidelity: str = "flow", attempt: int = 1) -> dict:
     return {"row": {"topology": name, "pattern": pattern, **row}}
 
 
-def merge_trials(opts: dict, outcomes: list[dict]) -> dict:
-    """Fold finished trial rows back into the ``run()`` result shape."""
-    rows = [
-        o["result"]["row"]
-        for o in outcomes
-        if o["status"] == "done" and o["result"] is not None
-    ]
-    return {"rows": rows}
+#: Fold finished trial rows back into the ``run()`` result shape.
+merge_trials = merge_rows
 
 
 def packet_sim_curves(

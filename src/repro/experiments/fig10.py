@@ -10,7 +10,11 @@ to its larger share of global links; UGAL recovers much of the loss.
 from __future__ import annotations
 
 from repro.experiments.common import (
+    check_choices,
+    check_options,
     format_table,
+    merge_rows,
+    run_trials,
     saturation_row,
     table3_instance,
     table3_router,
@@ -35,40 +39,35 @@ TRIAL_FIDELITY = "flow"
 
 def run(names=HIERARCHICAL, with_ugal: bool = True) -> dict:
     """Adversarial-pattern saturation per hierarchical topology."""
-    return {"rows": [_row(name, with_ugal) for name in names]}
-
-
-def _row(name: str, with_ugal: bool) -> dict:
-    topo = table3_instance(name)
-    router, mode = table3_router(name)
-    demand = AdversarialGroupPattern(topo).router_demand()
-    row = saturation_row(topo, router, mode, demand, with_ugal)
-    return {"topology": name, **row}
+    return run_trials(
+        plan_trials, run_trial, merge_trials, {"names": names, "with_ugal": with_ugal}
+    )
 
 
 # -- trial API (repro.runtime) ------------------------------------------------
 
 
 def plan_trials(opts: dict) -> list[dict]:
-    """One trial per hierarchical topology."""
-    names = tuple(opts.get("names", HIERARCHICAL))
+    """One trial per hierarchical topology; ``ValueError`` for an unknown
+    option or a topology outside :data:`HIERARCHICAL`."""
+    check_options(opts, ("names", "with_ugal"))
+    names = check_choices("topology", opts.get("names", HIERARCHICAL), HIERARCHICAL)
     with_ugal = bool(opts.get("with_ugal", True))
     return [{"topology": str(n), "with_ugal": with_ugal} for n in names]
 
 
 def run_trial(params: dict, fidelity: str = "flow", attempt: int = 1) -> dict:
     """Compute one adversarial saturation row (JSON-safe; workers call this)."""
-    return {"row": _row(params["topology"], params.get("with_ugal", True))}
+    name = params["topology"]
+    topo = table3_instance(name)
+    router, mode = table3_router(name)
+    demand = AdversarialGroupPattern(topo).router_demand()
+    row = saturation_row(topo, router, mode, demand, params.get("with_ugal", True))
+    return {"row": {"topology": name, **row}}
 
 
-def merge_trials(opts: dict, outcomes: list[dict]) -> dict:
-    """Fold finished trial rows back into the ``run()`` result shape."""
-    rows = [
-        o["result"]["row"]
-        for o in outcomes
-        if o["status"] == "done" and o["result"] is not None
-    ]
-    return {"rows": rows}
+#: Fold finished trial rows back into the ``run()`` result shape.
+merge_trials = merge_rows
 
 
 def format_figure(result: dict) -> str:

@@ -23,9 +23,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.analysis.faults import disconnection_ratio
-from repro.experiments.common import format_table, table3_instance, table3_router
+from repro.experiments.common import (
+    check_choices,
+    check_options,
+    format_table,
+    run_trials,
+    table3_instance,
+    table3_router,
+)
 from repro.faults import permanent_link_failures
 from repro.sim.packet import PacketSimConfig, PacketSimulator
+from repro.topologies.table3 import REDUCED_BUILDERS
 from repro.traffic import UniformRandomPattern
 
 __all__ = [
@@ -62,7 +70,7 @@ def _finite(x: float) -> float | None:
 
 
 def _point(topo, router, pattern, cfg, frac, load, seed) -> dict:
-    """Simulate one packet-level sweep point (shared by run/run_trial)."""
+    """Simulate one packet-level sweep point."""
     schedule = permanent_link_failures(topo.graph, frac, seed=seed, time=0)
     sim = PacketSimulator(topo, router, pattern, cfg, faults=schedule)
     res = sim.run(load)
@@ -135,34 +143,48 @@ def run(
     fractions=FRACTIONS,
     load: float = 0.3,
     seed: int = 0,
-    config: PacketSimConfig | None = None,
+    cycles=None,
 ) -> dict:
     """Delivered fraction / latency / drop accounting per failed-link step.
 
-    Every value in the returned dict is JSON-serializable and free of
-    wall-clock state, so ``json.dumps(..., sort_keys=True)`` of it is
-    byte-identical for identical ``(names, fractions, load, seed)``.
+    The trial API below, run in process; ``cycles`` is its option of the
+    same name.  Every value in the returned dict is JSON-serializable and
+    free of wall-clock state, so ``json.dumps(..., sort_keys=True)`` of it
+    is byte-identical for identical arguments.
     """
-    cfg = config or default_config(seed)
-    out = {}
-    for name in names:
-        topo = table3_instance(name, scale="reduced")
-        router, _ = table3_router(name, scale="reduced")
-        pattern = UniformRandomPattern(topo)
-        points = [
-            _point(topo, router, pattern, cfg, frac, load, seed)
-            for frac in fractions
-        ]
-        out[name] = {
-            "load": float(load),
-            "seed": int(seed),
-            "disconnection_ratio": float(disconnection_ratio(topo.graph, seed=seed)),
-            "points": points,
-        }
-    return out
+    opts = {"names": names, "fractions": fractions, "load": load, "seed": seed}
+    if cycles is not None:
+        opts["cycles"] = cycles
+    return run_trials(plan_trials, run_trial, merge_trials, opts)
 
 
 # -- trial API (repro.runtime) ------------------------------------------------
+
+
+def _number(name: str, value: object, hi: float = math.inf) -> float:
+    """*value* as a float; ``ValueError`` unless it is a finite number in
+    ``[0, hi]``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (math.isfinite(value) and 0 <= value <= hi)
+    ):
+        raise ValueError(f"{name} must be a finite number in [0, {hi}], got {value!r}")
+    return float(value)
+
+
+def _cycles(cycles: object) -> list[int]:
+    """``[warmup, measure, drain]``; ``ValueError`` unless they are three
+    integers :class:`PacketSimConfig` accepts."""
+    if not (
+        isinstance(cycles, (list, tuple))
+        and len(cycles) == 3
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in cycles)
+    ):
+        raise ValueError(f"cycles must be three integers [warmup, measure, drain], got {cycles!r}")
+    warmup, measure, drain = cycles
+    PacketSimConfig(warmup_cycles=warmup, measure_cycles=measure, drain_cycles=drain)
+    return list(cycles)
 
 
 def plan_trials(opts: dict) -> list[dict]:
@@ -170,13 +192,19 @@ def plan_trials(opts: dict) -> list[dict]:
 
     ``opts["cycles"]`` (``[warmup, measure, drain]``) shrinks the simulated
     window for smoke runs; it is part of trial identity, so smoke journals
-    never satisfy full-scale resumes.
+    never satisfy full-scale resumes.  Raises ``ValueError`` for an unknown
+    option, a topology with no reduced-scale network, a fraction outside
+    [0, 1], a negative or non-finite load, and bad ``cycles``.
     """
-    names = tuple(opts.get("names", TOPOLOGIES))
-    fractions = tuple(float(f) for f in opts.get("fractions", FRACTIONS))
-    load = float(opts.get("load", 0.3))
+    check_options(opts, ("names", "fractions", "load", "seed", "cycles"))
+    names = check_choices("topology", opts.get("names", TOPOLOGIES), REDUCED_BUILDERS)
+    raw_fractions = opts.get("fractions", FRACTIONS)
+    if not isinstance(raw_fractions, (list, tuple)):
+        raise ValueError(f"fractions must be a list, got {raw_fractions!r}")
+    fractions = [_number("fraction", f, hi=1.0) for f in raw_fractions]
+    load = _number("load", opts.get("load", 0.3))
     seed = int(opts.get("seed", 0))
-    cycles = opts.get("cycles")
+    cycles = None if opts.get("cycles") is None else _cycles(opts["cycles"])
     trials = []
     for name in names:
         trials.append(
@@ -191,7 +219,7 @@ def plan_trials(opts: dict) -> list[dict]:
                 "seed": seed,
             }
             if cycles is not None:
-                params["cycles"] = [int(c) for c in cycles]
+                params["cycles"] = list(cycles)
             trials.append(params)
     return trials
 

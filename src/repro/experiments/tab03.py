@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-from repro.experiments.common import format_table, table3_instance
+from repro.experiments.common import (
+    check_choices,
+    check_options,
+    format_table,
+    merge_rows,
+    run_trials,
+    table3_instance,
+)
 from repro.topologies.table3 import TABLE3_BUILDERS
 
 __all__ = [
@@ -33,32 +40,17 @@ PAPER_ROWS = {
 
 def run(names=tuple(TABLE3_BUILDERS)) -> dict:
     """Rebuild the Table 3 networks and compare to the printed rows."""
-    rows = []
-    for name in names:
-        topo = table3_instance(name)
-        paper = PAPER_ROWS[name]
-        rows.append(
-            {
-                "name": name,
-                "routers": topo.num_routers,
-                "radix": topo.network_radix,
-                "endpoints": topo.num_endpoints,
-                "paper_routers": paper[0],
-                "paper_radix": paper[1],
-                "paper_endpoints": paper[2],
-                "match": (topo.num_routers, topo.network_radix, topo.num_endpoints)
-                == paper,
-            }
-        )
-    return {"rows": rows}
+    return run_trials(plan_trials, run_trial, merge_trials, {"names": names})
 
 
 # -- trial API (repro.runtime) ------------------------------------------------
 
 
 def plan_trials(opts: dict) -> list[dict]:
-    """One trial per Table 3 network."""
-    names = tuple(opts.get("names", tuple(TABLE3_BUILDERS)))
+    """One trial per Table 3 network; ``ValueError`` for an unknown option
+    or name."""
+    check_options(opts, ("names",))
+    names = check_choices("topology", opts.get("names", tuple(TABLE3_BUILDERS)), TABLE3_BUILDERS)
     return [{"name": str(n)} for n in names]
 
 
@@ -82,14 +74,8 @@ def run_trial(params: dict, fidelity: str = "flow", attempt: int = 1) -> dict:
     }
 
 
-def merge_trials(opts: dict, outcomes: list[dict]) -> dict:
-    """Fold finished trial rows back into the ``run()`` result shape."""
-    rows = [
-        o["result"]["row"]
-        for o in outcomes
-        if o["status"] == "done" and o["result"] is not None
-    ]
-    return {"rows": rows}
+#: Fold finished trial rows back into the ``run()`` result shape.
+merge_trials = merge_rows
 
 
 def format_figure(result: dict) -> str:

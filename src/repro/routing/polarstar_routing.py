@@ -57,6 +57,7 @@ import numpy as np
 from repro.core.star_product import StarProduct
 from repro.graphs.base import Graph
 from repro.routing.base import Router, check_pairs
+from repro.routing.table import first_minimal_hops
 
 __all__ = [
     "PolarStarRouter",
@@ -74,24 +75,23 @@ def _dense_adj(graph: Graph, aug_diag: bool = False) -> np.ndarray:
     return a
 
 
-def _bfs_tables(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs (distance, first-hop) tables for a dense boolean adjacency."""
-    n = len(adj)
-    dist = np.full((n, n), 127, dtype=np.int8)
-    nxt = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        dist[s, s] = 0
-        frontier = [s]
-        while frontier:
-            new = []
-            for u in frontier:
-                for v in np.nonzero(adj[u])[0]:
-                    if dist[s, v] == 127:
-                        dist[s, v] = dist[s, u] + 1
-                        nxt[s, v] = v if u == s else nxt[s, u]
-                        new.append(int(v))
-            frontier = new
-    return dist, nxt
+def _intra_tables(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs (distance, first-hop) tables of a supernode graph.
+
+    Distances are ``int8`` with 127 for unreachable pairs.  The first hop
+    of ``(s, v)`` is the smallest-id neighbour of ``s`` one step closer to
+    ``v`` (:func:`~repro.routing.table.first_minimal_hops`), and ``-1`` on
+    the diagonal and for unreachable pairs.
+    """
+    # Imported here, as in repro.routing.table: repro.analysis pulls in the
+    # topologies/store stack, which imports repro.routing.
+    from repro.analysis.distances import hop_distances
+
+    n = graph.n
+    dist = hop_distances(graph, np.arange(n))
+    src, dst = np.divmod(np.arange(n * n), n)
+    nxt = first_minimal_hops(graph, dist, src, dst).reshape(n, n)
+    return np.minimum(dist, 127).astype(np.int8), nxt
 
 
 class PolarStarRouter(Router):
@@ -131,14 +131,14 @@ class PolarStarRouter(Router):
 
         # Supernode tables: plain, and augmented with the f-matching edges
         # that quadric supernodes carry.
-        self.sn_adj = _dense_adj(star.supernode)
-        self.intra_dist_plain, self.intra_next_plain = _bfs_tables(self.sn_adj)
-        aug = self.sn_adj.copy()
+        sn = star.supernode
+        self.sn_adj = _dense_adj(sn)
+        self.intra_dist_plain, self.intra_next_plain = _intra_tables(sn)
         ids = np.arange(self.np_)
         moved = ids[self.f != ids]
-        aug[moved, self.f[moved]] = True
-        aug[self.f[moved], moved] = True
-        self.intra_dist_aug, self.intra_next_aug = _bfs_tables(aug)
+        matching = np.stack([moved, self.f[moved]], axis=1)
+        aug = Graph(sn.n, np.concatenate([sn.edge_array, matching]), name=f"{sn.name}+f")
+        self.intra_dist_aug, self.intra_next_aug = _intra_tables(aug)
 
         # Array-kernel views of f: crossing a structure edge is one gather
         # from [f⁻¹, f] at (c < t)·n' + x, and the quadric matching step

@@ -28,13 +28,13 @@ Design constraints (docs/SERVING.md, lint rule RL112):
   resolved in :meth:`ServeServer.warm` — the synchronous startup path fed
   by ``repro store warm`` — so async handlers never block on a BFS build
   or disk I/O; they only do dict lookups and NumPy kernels.
-* **Batching window.**  Requests for the same ``(topology, op)`` coalesce
-  for up to ``max_delay`` seconds or ``max_batch`` pairs, whichever comes
-  first, then execute as one vectorized engine call; each requester gets
-  its slice of the batch result.  A request ``deadline_ms`` tightens its
-  bucket's window (flush fires with half the tightest budget left), and
-  work whose deadline has already expired is shed with 504, never
-  computed late.
+* **Coalescing.**  The first request for a ``(topology, op)`` opens a
+  bucket and schedules its flush for the next event-loop turn
+  (``call_soon``); requests for the same key that the loop reads in the
+  same turn join the bucket and execute in the same vectorized engine
+  call, each requester getting its slice of the result.  No request waits
+  for one that has not arrived.  Work whose ``deadline_ms`` has expired
+  is shed with 504, at admission or at the flush, never computed late.
 * **Fault epochs.**  The ``faults`` admin op applies
   :class:`~repro.faults.model.FaultEvent` records to a per-topology
   :class:`~repro.serve.epochs.FaultEpochManager`; the expensive overlay
@@ -64,7 +64,7 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,7 @@ from repro.serve.engine import (
     UnknownTopologyError,
     plan_batch,
 )
-from repro.serve.epochs import FaultEpochManager
+from repro.serve.epochs import EpochShard, FaultEpochManager
 
 __all__ = [
     "DeadlineExceededError",
@@ -103,8 +103,6 @@ class ServerConfig:
     scale: str = "full"
     host: str = "127.0.0.1"
     port: int = 0
-    max_batch: int = 4096
-    max_delay: float = 0.002
     max_inflight: int = 65536
     metrics_out: str | None = None
     #: Optional path to a JSON fault schedule applied during warm() — the
@@ -135,17 +133,6 @@ class _Waiter:
     deadline: float | None = None
 
 
-@dataclass
-class _Bucket:
-    """Pending requests for one ``(topology, op)`` coalescing key."""
-
-    waiters: list[_Waiter] = field(default_factory=list)
-    pairs: int = 0
-    timer: asyncio.TimerHandle | None = None
-    #: Loop-clock instant the pending timer fires at (deadline-tightened).
-    flush_at: float = 0.0
-
-
 class ServeServer:
     """Batched NDJSON TCP server over a :class:`QueryEngine`."""
 
@@ -164,7 +151,8 @@ class ServeServer:
         self.errors: dict[str, int] = {}
         self.started_at = time.monotonic()
         self._inflight = 0
-        self._buckets: dict[tuple[str, str], _Bucket] = {}
+        #: Waiters per ``(topology, op)`` whose flush is scheduled.
+        self._buckets: dict[tuple[str, str], list[_Waiter]] = {}
         #: Per-topology serialization of stage/install admin operations.
         self._fault_locks: dict[str, asyncio.Lock] = {}
         self._draining = False
@@ -450,21 +438,26 @@ class ServeServer:
                 )
             except ValueError as exc:
                 return self._error(400, f"bad fault event: {exc}", req_id)
-            # Flush so every already-admitted pair answers the old epoch,
-            # then swap — no awaits in between, so the install is atomic
-            # with respect to every other handler.
-            for op_name in OPS:
-                self._flush((topology, op_name))
-            self.epochs.install(topology, shard)
-            print(
-                f"repro-serve: fault epoch {shard.epoch} installed for "
-                f"{topology!r} (links_down={shard.links_down}, "
-                f"nodes_down={shard.nodes_down})",
-                file=sys.stderr,
-                flush=True,
-            )
+            self._install_epoch(topology, shard)
             return {"ok": True, "id": req_id, "op": "faults",
                     "topology": topology, **self.epochs.status()[topology]}
+
+    def _install_epoch(self, topology: str, shard: EpochShard) -> None:
+        """Flush *topology*'s pending buckets, then swap in *shard*.
+
+        Synchronous, so no handler runs in between: every already-admitted
+        pair answers the old epoch and every later one the new.
+        """
+        for op_name in OPS:
+            self._flush((topology, op_name))
+        self.epochs.install(topology, shard)
+        print(
+            f"repro-serve: fault epoch {shard.epoch} installed for "
+            f"{topology!r} (links_down={shard.links_down}, "
+            f"nodes_down={shard.nodes_down})",
+            file=sys.stderr,
+            flush=True,
+        )
 
     # -- coalescing --------------------------------------------------------
 
@@ -476,60 +469,45 @@ class ServeServer:
         dst: np.ndarray,
         deadline: float | None = None,
     ) -> tuple[list, int]:
-        """Admit one planned batch into the coalescing window.
+        """Admit one planned batch into its ``(topology, op)`` bucket.
 
-        Resolves to ``(result_slice, epoch_label)``.  A request deadline
-        tightens the bucket's flush timer: the batch fires when half the
-        tightest remaining budget is burnt (never later than
-        ``max_delay``), so deadline-carrying requests are answered with
-        margin instead of being shed at the window's edge.
+        Resolves to ``(result_slice, epoch_label)``.  The first waiter of
+        a bucket schedules the bucket's flush for the next event-loop turn;
+        later waiters of the same turn join it, so requests that arrive
+        together share one engine call and none waits for a later one.
         """
         loop = asyncio.get_running_loop()
         key = (topology, op)
+        waiter = _Waiter(src, dst, loop.create_future(), deadline=deadline)
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = self._buckets[key] = _Bucket()
-        waiter = _Waiter(src, dst, loop.create_future(), deadline=deadline)
-        bucket.waiters.append(waiter)
-        bucket.pairs += int(src.shape[0])
-        if bucket.pairs >= self.config.max_batch:
-            self._flush(key)
+            self._buckets[key] = [waiter]
+            loop.call_soon(self._flush, key)
         else:
-            now = loop.time()
-            flush_at = now + self.config.max_delay
-            if deadline is not None:
-                flush_at = min(flush_at, now + max(0.0, (deadline - now) * 0.5))
-            if bucket.timer is not None and flush_at < bucket.flush_at - 1e-9:
-                bucket.timer.cancel()
-                bucket.timer = None
-            if bucket.timer is None:
-                bucket.flush_at = flush_at
-                bucket.timer = loop.call_later(
-                    max(0.0, flush_at - now), self._flush, key
-                )
+            bucket.append(waiter)
         return await waiter.future
 
     def _flush(self, key: tuple[str, str]) -> None:
         """Execute one coalesced batch and distribute the slices.
 
-        Runs synchronously in the event loop: the serving shard (and its
-        epoch label) is read exactly once per batch, so every pair in the
-        batch answers against one fault epoch even when an admin swap
-        lands between flushes.  Waiters whose deadline already expired are
-        shed with :class:`DeadlineExceededError` (the 504 path) before the
-        engine runs; an engine failure resolves every live waiter to
+        Runs synchronously in the event loop, one turn after the bucket's
+        first waiter arrived, or earlier when a fault epoch swap flushes
+        the topology; a flush that finds its bucket already gone returns.
+        The serving shard (and its epoch label) is read exactly once per
+        batch, so every pair in the batch answers against one fault epoch.
+        Waiters whose deadline already expired are shed with
+        :class:`DeadlineExceededError` (the 504 path) before the engine
+        runs; an engine failure resolves every live waiter to
         :class:`EngineFailureError` (the structured 500 path) without
         killing the connection.
         """
-        bucket = self._buckets.pop(key, None)
-        if bucket is None or not bucket.waiters:
+        waiters = self._buckets.pop(key, None)
+        if not waiters:
             return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
         topology, op = key
         now = time.monotonic()
         live: list[_Waiter] = []
-        for w in bucket.waiters:
+        for w in waiters:
             if w.deadline is not None and now > w.deadline:
                 if not w.future.done():
                     w.future.set_exception(DeadlineExceededError())
@@ -555,20 +533,15 @@ class ServeServer:
                 if not w.future.done():
                     w.future.set_exception(failure)
             return
+        # Distances leave as Python ints (``tolist``), paths are lists already.
+        items = result.tolist() if isinstance(result, np.ndarray) else result
         offset = 0
         for w in live:
             k = int(w.src.shape[0])
-            chunk = result[offset : offset + k]
+            chunk = items[offset : offset + k]
             offset += k
             if not w.future.done():
-                if op == "distance":
-                    w.future.set_result(([int(v) for v in chunk], epoch))
-                else:
-                    w.future.set_result((list(chunk), epoch))
-
-    def _flush_all(self) -> None:
-        for key in list(self._buckets):
-            self._flush(key)
+                w.future.set_result((chunk, epoch))
 
     # -- connections -------------------------------------------------------
 
@@ -665,18 +638,17 @@ class ServeServer:
             flush=True,
         )
         await self._stopped.wait()
-        # Drain: stop accepting, answer everything already admitted.  A
-        # handler that decremented the in-flight count has already buffered
-        # its response bytes (write() is synchronous into the transport),
-        # so once the count hits zero it is safe to wind the tasks down —
+        # Drain: stop accepting, answer everything already admitted (each
+        # admitted request's bucket has its flush scheduled).  A handler
+        # that decremented the in-flight count has already buffered its
+        # response bytes (write() is synchronous into the transport), so
+        # once the count hits zero it is safe to wind the tasks down —
         # closing transports flushes, never truncates.
         self._server.close()
         await self._server.wait_closed()
         deadline = time.monotonic() + 5.0
         while self._inflight and time.monotonic() < deadline:
-            self._flush_all()
             await asyncio.sleep(0.005)
-        self._flush_all()
         await asyncio.sleep(0)
         for task in list(self._conn_tasks):
             task.cancel()

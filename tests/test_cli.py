@@ -165,6 +165,39 @@ class TestCommands:
         assert msg.startswith(prefix.replace("{file}", str(path)))
         assert "\n" not in msg
 
+    @pytest.mark.parametrize("experiment, opt, message", [
+        ("tab03", 'nmes=["PS-IQ"]', "unknown option 'nmes'; options: names"),
+        ("tab03", 'names=["NOPE"]', "unknown topology 'NOPE'; options: PS-IQ,"),
+        ("tab03", "names=PS-IQ", "expected a list of topology names, got 'PS-IQ'"),
+        ("fig09", 'names=["PS-IQ-x"]', "unknown topology 'PS-IQ-x'"),
+        ("fig09", 'patterns=["tornado"]', "unknown pattern 'tornado'; options: uniform,"),
+        ("fig10", 'names=["HX"]', "unknown topology 'HX'; options: PS-IQ, PS-Pal, BF, DF, MF"),
+        ("fig14_dynamic", 'names=["SF"]', "unknown topology 'SF'"),
+        ("fig14_dynamic", "fractions=[0.1,1.5]", "fraction must be a finite number in [0, 1.0], got 1.5"),
+        ("fig14_dynamic", "fractions=0.1", "fractions must be a list, got 0.1"),
+        ("fig14_dynamic", "load=-1", "load must be a finite number in [0, inf], got -1"),
+        ("fig14_dynamic", "load=NaN", "NaN is not a valid option value"),
+        ("fig14_dynamic", "load=Infinity", "Infinity is not a valid option value"),
+        ("fig14_dynamic", "cycles=[20,40]", "cycles must be three integers"),
+        ("fig14_dynamic", "cycles=[20,0,40]", "measure_cycles must be >= 1, got 0"),
+    ], ids=["tab03-key", "tab03-name", "tab03-names-str", "fig09-name",
+            "fig09-pattern", "fig10-name", "fig14-name", "fig14-fraction",
+            "fig14-fractions-float", "fig14-load", "fig14-load-nan",
+            "fig14-load-inf", "fig14-cycles-two", "fig14-cycles-zero"])
+    def test_run_rejects_bad_opt_in_one_line(
+        self, tmp_path, monkeypatch, experiment, opt, message
+    ):
+        """A malformed ``repro run --opt`` exits in one line while the plan
+        is built: no worker starts and no journal is written."""
+        runs = tmp_path / "runs"
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", experiment, "--opt", opt])
+        msg = str(exc.value.code)
+        assert msg.startswith(f"invalid --opt for {experiment}: {message}")
+        assert "\n" not in msg
+        assert not runs.exists()
+
     def test_faults_inject_with_empty_schedule(self, capsys):
         assert main(["faults", "inject", "--radix", "7", "--measure-cycles", "200",
                      "--warmup-cycles", "50", "--drain-cycles", "200"]) == 0

@@ -4,6 +4,8 @@ kernel on every pair of every feasible configuration up to radix 16."""
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from repro.analysis import hop_distances
 from repro.core import PolarStarConfig, build_polarstar, design_space
@@ -161,6 +163,39 @@ def test_kernel_matches_bfs_on_the_design_space(cfg):
     """§9.2 at every feasible radix-3..16 config: the array kernel's
     distances and walked paths equal BFS on every pair."""
     assert assert_routes_match_bfs(PolarStarRouter(build_polarstar(cfg))) == cfg.order**2
+
+
+def _intra_oracle(n, edges):
+    """SciPy hop distances (inf when unreachable) and adjacency of a
+    supernode graph given as an edge list."""
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return shortest_path(csr_matrix(adj), unweighted=True), adj
+
+
+@pytest.mark.parametrize("cfg", DESIGN_SPACE, ids=lambda c: c.name)
+def test_intra_tables_match_scipy_and_smallest_closer_hop(cfg):
+    """The supernode tables, plain and with the f-matching edges: int8
+    distances equal SciPy's BFS capped at 127, and each first hop is the
+    smallest-id neighbour one step closer (-1 on the diagonal)."""
+    router = PolarStarRouter(build_polarstar(cfg))
+    sn = router.star.supernode
+    n = sn.n
+    plain = [(int(u), int(v)) for u, v in sn.edges()]
+    matching = [(x, int(router.f[x])) for x in range(n) if router.f[x] != x]
+    for edges, dist, nxt in (
+        (plain, router.intra_dist_plain, router.intra_next_plain),
+        (plain + matching, router.intra_dist_aug, router.intra_next_aug),
+    ):
+        oracle, adj = _intra_oracle(n, edges)
+        assert dist.dtype == np.int8 and nxt.dtype == np.int64
+        np.testing.assert_array_equal(dist, np.minimum(oracle, 127).astype(np.int8))
+        for s in range(n):
+            for v in range(n):
+                closer = [w for w in range(n) if adj[s, w] and oracle[w, v] == oracle[s, v] - 1]
+                reachable = s != v and np.isfinite(oracle[s, v])
+                assert nxt[s, v] == (min(closer) if reachable else -1), (s, v)
 
 
 def _id_check_router(name):

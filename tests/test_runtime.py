@@ -460,7 +460,7 @@ class TestExperimentTrials:
         cfg = PacketSimConfig(warmup_cycles=20, measure_cycles=40,
                               drain_cycles=40, seed=0)
         direct = fig14_dynamic.run(names=("PS-IQ",), fractions=(0.1,),
-                                   config=cfg)
+                                   cycles=[20, 40, 40])
         assert out["point"] == direct["PS-IQ"]["points"][0]
 
     def test_fig14_dynamic_flow_degradation_bounds_delivery(self):

@@ -8,6 +8,7 @@ repo-wide signal semantics (SIGTERM drain → 0, SIGINT drain → 130).
 
 from __future__ import annotations
 
+import asyncio
 import json
 import multiprocessing
 import os
@@ -272,25 +273,30 @@ class TestSharedTables:
 # -- server: in-process protocol ----------------------------------------------
 
 
+def warm_server(**overrides) -> ServeServer:
+    """A warmed server that is not listening: tests drive its handlers on
+    their own event loop, turn by turn."""
+    server = ServeServer(
+        ServerConfig(topologies=(TOPO,), scale=SCALE, port=0, **overrides)
+    )
+    server.warm()
+    return server
+
+
+def distance_request(pairs) -> dict:
+    return {"op": "distance", "topology": TOPO, "pairs": np.asarray(pairs).tolist()}
+
+
 @pytest.fixture()
 def live_server():
     """An in-process server on an ephemeral port, drained at teardown."""
+    started: list[tuple[ServeServer, threading.Thread]] = []
 
-    def start(**overrides):
-        cfg = ServerConfig(
-            topologies=(TOPO,), scale=SCALE, port=0, **overrides
-        )
-        server = ServeServer(cfg)
-        server.warm()
+    def factory():
+        server = warm_server()
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         assert server.ready.wait(timeout=30), "server never became ready"
-        return server, thread
-
-    started: list[tuple[ServeServer, threading.Thread]] = []
-
-    def factory(**overrides):
-        server, thread = start(**overrides)
         started.append((server, thread))
         return server
 
@@ -353,78 +359,74 @@ class TestServerProtocol:
         with ServeClient("127.0.0.1", server.port) as client:
             assert client.distance(TOPO, []) == []
 
-    def test_coalescing_merges_concurrent_requests(self, live_server, shard):
-        """Requests from distinct connections inside one delay window
-        execute as fewer engine batches than requests."""
-        server = live_server(max_delay=0.05, max_batch=100000)
-        nclients = 8
-        pairs = random_pairs(shard.n, 64, seed=7)
-        expected = None
-        barrier = threading.Barrier(nclients)
-        answers: list[list[int] | None] = [None] * nclients
+    def test_coalescing_merges_concurrent_requests(self, engine, shard):
+        """Requests the loop reads in one turn run as one engine batch, and
+        each requester gets the engine's answer for its own pairs."""
+        server = warm_server()
+        batches = [random_pairs(shard.n, 64, seed=7 + i) for i in range(8)]
 
-        def worker(i: int) -> None:
-            with ServeClient("127.0.0.1", server.port) as client:
-                barrier.wait()
-                answers[i] = client.distance(TOPO, pairs)
+        async def scenario():
+            return await asyncio.gather(
+                *(server._answer(distance_request(p)) for p in batches)
+            )
 
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(nclients)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        expected = answers[0]
-        assert all(a == expected for a in answers)
-        assert server.requests == nclients
-        assert server.batches < nclients  # coalescing actually happened
+        responses = asyncio.run(scenario())
+        assert server.batches == 1
+        assert server.requests == len(batches)
+        for pairs, resp in zip(batches, responses):
+            assert resp["ok"] and resp["epoch"] == 0
+            assert resp["result"] == engine.distances(TOPO, pairs).tolist()
 
-    def test_backpressure_429_is_deterministic(self, live_server, shard):
-        """With a 4-pair in-flight budget and a long window, a held batch
-        of 4 forces the next request to a 429 rejection."""
-        server = live_server(max_inflight=4, max_delay=1.0, max_batch=100000)
-        held: list[object] = []
+    def test_lone_request_answered_without_a_timer(self, engine, shard):
+        """A request that arrives alone is answered within a few loop
+        turns: its bucket flushes on the next turn, not after a delay."""
+        server = warm_server()
+        pairs = random_pairs(shard.n, 64, seed=21)
 
-        def holder() -> None:
-            with ServeClient("127.0.0.1", server.port) as client:
-                held.append(client.distance(TOPO, [[0, 1], [0, 2], [0, 3], [0, 4]]))
+        async def scenario():
+            task = asyncio.ensure_future(server._answer(distance_request(pairs)))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert task.done(), "a lone request is still waiting"
+            return task.result()
 
-        t = threading.Thread(target=holder)
-        t.start()
-        deadline = time.monotonic() + 5.0
-        while server._inflight < 4 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert server._inflight == 4
-        with ServeClient("127.0.0.1", server.port) as client:
-            with pytest.raises(ServeError) as exc:
-                client.distance(TOPO, [[1, 2]])
-            assert exc.value.code == 429
-        t.join(timeout=15)
-        assert len(held) == 1 and len(held[0]) == 4
+        resp = asyncio.run(scenario())
+        assert resp["result"] == engine.distances(TOPO, pairs).tolist()
+
+    def test_backpressure_429_is_deterministic(self):
+        """With a 4-pair in-flight budget, a 4-pair request admitted in the
+        same turn as a 1-pair one forces the second to a 429."""
+        server = warm_server(max_inflight=4)
+        held_pairs = [[0, 1], [0, 2], [0, 3], [0, 4]]
+
+        async def scenario():
+            held = asyncio.ensure_future(server._answer(distance_request(held_pairs)))
+            over = asyncio.ensure_future(server._answer(distance_request([[1, 2]])))
+            return await held, await over
+
+        held, over = asyncio.run(scenario())
+        assert over["ok"] is False and over["code"] == 429
+        assert held["ok"] and held["result"] == server.engine.distances(
+            TOPO, held_pairs
+        ).tolist()
         assert server.rejected == 1
 
-    def test_drain_answers_inflight_before_exit(self, live_server, shard):
-        """Stop requested while a batch is held in the coalescing window:
-        the drain flushes it and the client still gets a complete answer."""
-        server = live_server(max_delay=5.0, max_batch=100000)
+    def test_drain_answers_inflight_before_exit(self, live_server, engine, shard):
+        """A drain requested after a request is admitted but before its
+        bucket flushes: the client still gets the whole answer."""
+        server = live_server()
         pairs = random_pairs(shard.n, 512, seed=8)
-        result: list[list[int]] = []
+        enqueue = server._enqueue
 
-        def requester() -> None:
-            with ServeClient("127.0.0.1", server.port) as client:
-                result.append(client.distance(TOPO, pairs))
+        def drain_then_enqueue(*args, **kwargs):
+            server._begin_drain(0)  # on the loop: admitted, not yet flushed
+            return enqueue(*args, **kwargs)
 
-        t = threading.Thread(target=requester)
-        t.start()
-        deadline = time.monotonic() + 5.0
-        while server._inflight == 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert server._inflight > 0
-        server.request_stop(0)
-        t.join(timeout=15)
-        assert not t.is_alive()
-        assert len(result) == 1 and len(result[0]) == len(pairs)
+        server._enqueue = drain_then_enqueue
+        with ServeClient("127.0.0.1", server.port) as client:
+            got = client.distance(TOPO, pairs)
+        assert server._draining
+        assert got == engine.distances(TOPO, pairs).tolist()
 
 
 # -- server: subprocess lifecycle (signals, cold/warm builds) -----------------
@@ -481,28 +483,46 @@ class TestServerLifecycle:
         assert proc.wait(timeout=60) == 0
         assert _builds_from_metrics(warm_metrics) == 0
 
-    def test_sigterm_under_inflight_load_drains_clean(self, tmp_path, shard):
-        """SIGTERM while a batch is held in a long coalescing window: the
-        client gets a complete response (no partial write), exit code 0."""
-        proc = _serve_cmd(
-            tmp_path / "store", None,
-            "--max-delay", "5.0", "--max-batch", "100000",
-        )
+    def test_sigterm_under_inflight_load_drains_clean(self, tmp_path, engine, shard):
+        """SIGTERM while a client keeps 4096-pair requests in flight: every
+        line the client reads is a complete answer or a 503, and the server
+        exits 0."""
+        proc = _serve_cmd(tmp_path / "store", None)
         info = wait_until_ready(proc.stdout)
-        pairs = random_pairs(shard.n, 256, seed=10).tolist()
-        result: list[list[int]] = []
+        pairs = random_pairs(shard.n, 4096, seed=10)
+        expected = engine.distances(TOPO, pairs).tolist()
+        line = (json.dumps(distance_request(pairs)) + "\n").encode()
+        answered = threading.Event()
+        lines: list[str] = []
 
         def requester() -> None:
             with ServeClient("127.0.0.1", info["port"]) as client:
-                result.append(client.distance(TOPO, pairs))
+                while True:
+                    try:
+                        client._sock.sendall(line)
+                        got = client._rfile.readline()
+                    except (BrokenPipeError, ConnectionResetError):
+                        return
+                    if not got:
+                        return
+                    lines.append(got)
+                    answered.set()
 
-        t = threading.Thread(target=requester)
+        t = threading.Thread(target=requester, daemon=True)
         t.start()
-        time.sleep(0.5)  # let the request enter the coalescing window
+        assert answered.wait(timeout=60), "no answer before SIGTERM"
         proc.send_signal(signal.SIGTERM)
-        t.join(timeout=30)
+        t.join(timeout=60)
+        assert not t.is_alive()
         assert proc.wait(timeout=60) == 0
-        assert len(result) == 1 and len(result[0]) == len(pairs)
+        assert lines
+        for got in lines:
+            assert got.endswith("\n"), "a truncated response line"
+            resp = json.loads(got)
+            if resp["ok"]:
+                assert resp["result"] == expected
+            else:
+                assert resp["code"] == 503
 
     def test_sigint_exits_130(self, tmp_path):
         proc = _serve_cmd(tmp_path / "store", None)

@@ -16,7 +16,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -226,22 +225,14 @@ class TestScheduleJson:
 @pytest.fixture()
 def live_server():
     """An in-process server on an ephemeral port, drained at teardown."""
+    started: list[tuple[ServeServer, threading.Thread]] = []
 
-    def start(**overrides):
-        cfg = ServerConfig(
-            topologies=(TOPO,), scale=SCALE, port=0, **overrides
-        )
-        server = ServeServer(cfg)
+    def factory():
+        server = ServeServer(ServerConfig(topologies=(TOPO,), scale=SCALE, port=0))
         server.warm()
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         assert server.ready.wait(timeout=30), "server never became ready"
-        return server, thread
-
-    started: list[tuple[ServeServer, threading.Thread]] = []
-
-    def factory(**overrides):
-        server, thread = start(**overrides)
         started.append((server, thread))
         return server
 
@@ -352,50 +343,32 @@ class TestServedEpochs:
             assert client.fault_status()[TOPO]["epoch"] == 0
 
     def test_swap_never_splits_an_inflight_batch(
-        self, live_server, base_shard, sample_events
+        self, base_shard, sample_events
     ):
-        """A 4096-pair batch held in the coalescing window while an epoch
-        installs must answer entirely against the old epoch — and carry
-        its label; the next batch answers the new epoch."""
-        server = live_server(max_delay=5.0, max_batch=100000)
+        """A 4096-pair query admitted in the same loop turn as an epoch's
+        flush-and-install answers entirely against the old epoch, and
+        carries its label; the next query answers the new epoch."""
+        server = ServeServer(ServerConfig(topologies=(TOPO,), scale=SCALE, port=0))
+        server.warm()
         pairs = random_pairs(base_shard.n, 4096, seed=14)
         pristine = offline_distances(base_shard.graph, [], pairs)
         degraded = offline_distances(base_shard.graph, sample_events, pairs)
-        raced: list[dict] = []
+        shard = server.epochs.stage(TOPO, sample_events)
+        req = {"op": "distance", "topology": TOPO, "pairs": pairs.tolist()}
 
-        def requester() -> None:
-            with ServeClient("127.0.0.1", server.port) as client:
-                raced.append(client.query("distance", TOPO, pairs))
+        async def scenario():
+            raced = asyncio.ensure_future(server._answer(req))
+            await asyncio.sleep(0)
+            assert server._inflight == len(pairs), "query not admitted yet"
+            server._install_epoch(TOPO, shard)
+            return await raced, await server._answer(req)
 
-        t = threading.Thread(target=requester)
-        t.start()
-        deadline = time.monotonic() + 10.0
-        while server._inflight == 0 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert server._inflight > 0, "batch never entered the window"
-        with ServeClient("127.0.0.1", server.port) as admin:
-            admin.apply_faults(TOPO, sample_events)
-        t.join(timeout=30)
-        assert not t.is_alive()
+        raced, after = asyncio.run(scenario())
         # all-or-nothing: the raced batch is answered by exactly one epoch
-        assert raced[0]["epoch"] == 0
-        assert raced[0]["result"] == pristine
-        with ServeClient("127.0.0.1", server.port) as client:
-            after = client.query("distance", TOPO, pairs)
+        assert raced["epoch"] == 0
+        assert raced["result"] == pristine
         assert after["epoch"] == 1
         assert after["result"] == degraded
-
-    def test_deadline_met_inside_long_window(self, live_server, base_shard):
-        """A deadline-carrying request tightens its bucket's flush timer:
-        even a 5s window answers a 200ms deadline in time."""
-        server = live_server(max_delay=5.0, max_batch=100000)
-        with ServeClient("127.0.0.1", server.port) as client:
-            t0 = time.monotonic()
-            resp = client.query(
-                "distance", TOPO, [[0, 1]], deadline_ms=200.0
-            )
-            assert resp["result"] == [int(resp["result"][0])]
-            assert time.monotonic() - t0 < 2.0
 
     def test_expired_deadline_is_504_at_admission(self, live_server):
         server = live_server()
