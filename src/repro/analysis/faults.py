@@ -96,11 +96,6 @@ class ConnectivityProber:
         return hi
 
 
-def _is_connected_subset(graph: Graph, keep_mask: np.ndarray) -> bool:
-    """One-shot probe (prefer :class:`ConnectivityProber` in loops)."""
-    return ConnectivityProber(graph).is_connected(keep_mask)
-
-
 def disconnection_ratio(
     graph: Graph, seed: int = 0, prober: ConnectivityProber | None = None
 ) -> float:

@@ -73,14 +73,6 @@ class StarProduct:
         """Structure-graph vertex (supernode id) of every product vertex."""
         return np.arange(self.graph.n) // self.supernode.n
 
-    def arc_forward(self, x: int, y: int) -> bool:
-        """True if the structure edge {x, y} is oriented x -> y.
-
-        Crossing a forward arc applies *f* to the supernode coordinate;
-        crossing backward applies ``f_inv``.  (For involutions both agree.)
-        """
-        return x < y
-
 
 def star_product(
     structure: Graph,

@@ -16,6 +16,7 @@ from repro.topologies.base import Topology
 
 __all__ = [
     "check_choices",
+    "check_flag",
     "check_options",
     "geometric_mean",
     "merge_rows",
@@ -96,6 +97,14 @@ def check_choices(kind: str, values: object, options: Collection[str]) -> tuple[
         if value not in allowed:
             raise ValueError(f"unknown {kind} {value!r}; options: {', '.join(allowed)}")
     return tuple(values)
+
+
+def check_flag(name: str, value: object) -> bool:
+    """*value* itself when it is a bool, else ``ValueError``: an option
+    string such as ``"False"`` would otherwise read as true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def geometric_mean(values: Sequence[float]) -> float:

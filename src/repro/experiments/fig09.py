@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.experiments.common import (
     check_choices,
+    check_flag,
     check_options,
     format_table,
     merge_rows,
@@ -82,7 +83,8 @@ def run(
 
 def plan_trials(opts: dict) -> list[dict]:
     """One trial per (topology, pattern) saturation cell; ``ValueError``
-    for an unknown option, Table 3 name or pattern."""
+    for an unknown option, Table 3 name or pattern, or a non-bool
+    ``with_ugal``."""
     check_options(opts, ("names", "patterns", "with_ugal"))
     names = check_choices("topology", opts.get("names", DEFAULT_TOPOLOGIES), TABLE3_BUILDERS)
     patterns = check_choices(
@@ -90,7 +92,7 @@ def plan_trials(opts: dict) -> list[dict]:
         opts.get("patterns", ("uniform", "permutation", "bitreverse", "bitshuffle")),
         PATTERNS,
     )
-    with_ugal = bool(opts.get("with_ugal", True))
+    with_ugal = check_flag("with_ugal", opts.get("with_ugal", True))
     return [
         {"topology": str(n), "pattern": str(p), "with_ugal": with_ugal}
         for n in names

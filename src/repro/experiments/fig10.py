@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     check_choices,
+    check_flag,
     check_options,
     format_table,
     merge_rows,
@@ -49,10 +50,11 @@ def run(names=HIERARCHICAL, with_ugal: bool = True) -> dict:
 
 def plan_trials(opts: dict) -> list[dict]:
     """One trial per hierarchical topology; ``ValueError`` for an unknown
-    option or a topology outside :data:`HIERARCHICAL`."""
+    option, a topology outside :data:`HIERARCHICAL` or a non-bool
+    ``with_ugal``."""
     check_options(opts, ("names", "with_ugal"))
     names = check_choices("topology", opts.get("names", HIERARCHICAL), HIERARCHICAL)
-    with_ugal = bool(opts.get("with_ugal", True))
+    with_ugal = check_flag("with_ugal", opts.get("with_ugal", True))
     return [{"topology": str(n), "with_ugal": with_ugal} for n in names]
 
 

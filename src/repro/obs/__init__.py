@@ -6,7 +6,7 @@ The subsystem has four parts (see ``docs/OBSERVABILITY.md``):
   and fixed-bucket histograms with label support;
 * :mod:`repro.obs.tracing` — ``span("phase")`` wall-clock profile trees;
 * :mod:`repro.obs.manifest` — :class:`RunManifest` reproducibility records;
-* :mod:`repro.obs.export` — JSON / CSV / console exporters.
+* :mod:`repro.obs.export` — JSON and console exporters.
 
 Instrumented code talks to the **ambient session**: a process-wide
 ``(registry, tracer)`` pair that defaults to *disabled* (null instruments,
@@ -16,8 +16,8 @@ no-op spans), so the library costs nothing unless a driver opts in::
         result = PacketSimulator(...).run(0.3)
         export_json("metrics.json", registry, tracer, RunManifest.capture())
 
-Long-lived components may also accept an explicit ``metrics=`` registry;
-the ambient pair is the default, not the only path.
+``session()`` is the one switch: instrumented code reads whichever pair
+is ambient when it runs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from contextlib import contextmanager
 
 from repro.obs.export import (
     console_summary,
-    export_csv,
     export_json,
     load_json,
     session_snapshot,
@@ -40,7 +39,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_INSTRUMENT,
     exponential_buckets,
-    linear_buckets,
 )
 from repro.obs.tracing import NULL_TRACER, SpanNode, Tracer
 
@@ -56,15 +54,11 @@ __all__ = [
     "SpanNode",
     "Tracer",
     "console_summary",
-    "disable",
-    "enable",
     "exponential_buckets",
-    "export_csv",
     "export_json",
     "get_registry",
     "get_tracer",
     "git_revision",
-    "linear_buckets",
     "load_json",
     "session",
     "session_snapshot",
@@ -89,21 +83,6 @@ def get_tracer():
 def span(name: str):
     """Open a profiling span on the ambient tracer (no-op when disabled)."""
     return _TRACER.span(name)
-
-
-def enable(max_label_sets: int = 4096) -> tuple[MetricsRegistry, Tracer]:
-    """Install a fresh enabled ambient session; returns ``(registry, tracer)``."""
-    global _REGISTRY, _TRACER
-    _REGISTRY = MetricsRegistry(enabled=True, max_label_sets=max_label_sets)
-    _TRACER = Tracer()
-    return _REGISTRY, _TRACER
-
-
-def disable() -> None:
-    """Reset the ambient session to the free disabled state."""
-    global _REGISTRY, _TRACER
-    _REGISTRY = MetricsRegistry(enabled=False)
-    _TRACER = NULL_TRACER
 
 
 @contextmanager

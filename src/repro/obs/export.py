@@ -1,15 +1,13 @@
-"""Exporters: observability sessions -> JSON / CSV / console text.
+"""Exporters: observability sessions -> JSON / console text.
 
 The JSON artifact is the canonical form (schema ``repro.obs/v1``): one
 document holding the manifest, every metric family snapshot, and the span
-profile tree.  CSV flattens metric samples for spreadsheet triage, and the
-console summary renders the same data for humans — both are derived from
+profile tree.  The console summary renders the same data for humans from
 the JSON-shaped dict, so ``repro obs summary file.json`` round-trips.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -20,7 +18,6 @@ from repro.obs.tracing import Tracer
 __all__ = [
     "session_snapshot",
     "export_json",
-    "export_csv",
     "console_summary",
     "load_json",
 ]
@@ -63,38 +60,6 @@ def load_json(path: str | Path) -> dict:
             f"expected {SCHEMA!r})"
         )
     return doc
-
-
-def export_csv(path: str | Path, registry: MetricsRegistry) -> Path:
-    """Flatten metric samples to CSV: name, type, labels, field, value.
-
-    Histograms emit one row per bucket (field ``bucket_le=<bound>``) plus
-    ``count`` / ``sum`` rows; counters and gauges emit a single ``value``
-    row per label combination.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "type", "labels", "field", "value"])
-        for fam in registry.collect():
-            for sample in fam["samples"]:
-                labels = ";".join(
-                    f"{k}={v}" for k, v in sorted(sample["labels"].items())
-                )
-                if fam["type"] == "histogram":
-                    writer.writerow([fam["name"], fam["type"], labels, "count", sample["count"]])
-                    writer.writerow([fam["name"], fam["type"], labels, "sum", sample["sum"]])
-                    for bucket in sample["buckets"]:
-                        le = "inf" if bucket["le"] is None else bucket["le"]
-                        writer.writerow(
-                            [fam["name"], fam["type"], labels, f"bucket_le={le}", bucket["count"]]
-                        )
-                else:
-                    writer.writerow(
-                        [fam["name"], fam["type"], labels, "value", sample["value"]]
-                    )
-    return path
 
 
 def _format_spans(node: dict, depth: int, total: float, lines: list[str]) -> None:

@@ -36,19 +36,11 @@ __all__ = [
     "MetricsRegistry",
     "NULL_INSTRUMENT",
     "exponential_buckets",
-    "linear_buckets",
 ]
 
 
 class CardinalityError(RuntimeError):
     """A metric family exceeded its ``max_label_sets`` cap."""
-
-
-def linear_buckets(start: float, width: float, count: int) -> tuple[float, ...]:
-    """``count`` upper bounds: start, start+width, ... (for histograms)."""
-    if count < 1 or width <= 0:
-        raise ValueError("linear_buckets needs count >= 1 and width > 0")
-    return tuple(start + i * width for i in range(count))
 
 
 def exponential_buckets(start: float, factor: float, count: int) -> tuple[float, ...]:

@@ -1,4 +1,4 @@
-"""Routing: minimal (analytic and table-based) and adaptive (Valiant/UGAL).
+"""Routing: minimal next-hop policies (analytic and table-based).
 
 * :class:`TableRouter` — all-minimal-path, BFS-table-based (what Booksim
   uses for SF/BF; §9.3 notes its storage cost).
@@ -6,8 +6,10 @@
   stores only structure-graph tables plus O(supernode²) local state.
 * :class:`DragonflyRouter` / :class:`HyperXRouter` — the standard
   hierarchical / dimension-ordered minimal schemes.
-* :class:`ValiantMixin`-style helpers for UGAL live in
-  :mod:`repro.routing.ugal` and are consumed by the simulators.
+
+Valiant and UGAL (§9.3) are built on these minimal routers inside each
+simulator that runs them: the packet engines, the motif engine and the
+flow model's ``ugal_saturation_load``.
 """
 
 from repro.routing.base import Router, route_path
@@ -15,7 +17,6 @@ from repro.routing.table import TableRouter, next_hop_table
 from repro.routing.polarstar_routing import PolarStarRouter
 from repro.routing.dragonfly_routing import DragonflyRouter
 from repro.routing.hyperx_routing import HyperXRouter
-from repro.routing.ugal import UgalPolicy, valiant_path
 
 __all__ = [
     "Router",
@@ -25,6 +26,4 @@ __all__ = [
     "PolarStarRouter",
     "DragonflyRouter",
     "HyperXRouter",
-    "UgalPolicy",
-    "valiant_path",
 ]

@@ -13,10 +13,7 @@ import numpy as np
 from repro.routing.base import Router
 from repro.topologies.base import Topology
 
-__all__ = [
-    "HyperXRouter",
-    "HyperXDoalRouter",
-]
+__all__ = ["HyperXRouter"]
 
 
 class HyperXRouter(Router):
@@ -50,34 +47,3 @@ class HyperXRouter(Router):
                 hops.append(int(current + (b - a) * self.strides[axis]))
         return hops
 
-
-class HyperXDoalRouter(HyperXRouter):
-    """DOAL ("Dimensionally-Adaptive, Load-balanced") routing, as provided
-    by SST/Merlin for HyperX (§10.1).
-
-    In each unaligned dimension the packet may either move directly to the
-    destination coordinate or detour via one random intermediate coordinate
-    of that dimension ("adaptively routes at most once in each dimension").
-    ``next_hops`` exposes both the direct hop and the candidate detours;
-    adaptive simulators pick by queue depth, and :meth:`next_hop` stays
-    minimal so the router remains usable as a deterministic policy.
-    """
-
-    def __init__(self, topology, detours_per_dim: int = 1, seed: int = 0):
-        super().__init__(topology)
-        self.detours_per_dim = detours_per_dim
-        self._rng = __import__("numpy").random.default_rng(seed)
-
-    def adaptive_candidates(self, current: int, dest: int) -> list[int]:
-        """Minimal next hops plus one random same-dimension detour each."""
-        cands = list(self.next_hops(current, dest))
-        cc, tc = self.coords(current), self.coords(dest)
-        for axis, (a, b) in enumerate(zip(cc, tc)):
-            if a == b:
-                continue
-            size = self.dims[axis]
-            for _ in range(self.detours_per_dim):
-                alt = int(self._rng.integers(0, size))
-                if alt not in (a, b):
-                    cands.append(int(current + (alt - a) * self.strides[axis]))
-        return cands

@@ -36,6 +36,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.faults.io import DiskIo, IoFile
+from repro.store.core import atomic_write
 
 __all__ = [
     "Journal",
@@ -71,34 +72,21 @@ class JournalWriteError(JournalError):
 def atomic_write_text(
     path: str | Path, text: str, io: DiskIo | None = None
 ) -> None:
-    """Durably write *text* to *path* via a temp file + atomic rename.
+    """Durably write *text* to *path* with :func:`repro.store.core.atomic_write`.
 
     Output artifacts (``--out`` files) must never be observable
     half-written: a ctrl-C or power cut mid-dump either leaves the
-    previous file intact or the new one complete, nothing in between.
-    The temp file is fsync'd before the rename and the parent directory
-    after it, so the committed file also survives power loss.
+    previous file intact or the new one complete, nothing in between,
+    and the committed file survives power loss.
     """
-    io = io if io is not None else DiskIo()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    f = io.exclusive_create(path.parent, prefix=path.name + ".tmp-")
-    tmp = f.path
-    try:
-        io.write(f, text.encode("utf-8"))
-        io.fsync(f)
-        io.close(f)
-        io.replace(tmp, path)
-        io.fsync_dir(path.parent)
-    except BaseException:
-        io.close(f)
-        try:
-            io.unlink(tmp)
-        except FileNotFoundError:
-            pass  # already renamed into place (failure was post-replace)
-        except OSError:
-            logger.warning("journal: stray temp file left behind: %s", tmp)
-        raise
+    atomic_write(
+        io if io is not None else DiskIo(),
+        path,
+        text.encode("utf-8"),
+        prefix=path.name + ".tmp-",
+    )
 
 
 def load_records(path: str | Path) -> list[dict]:

@@ -293,12 +293,7 @@ def run_chaos(config: ChaosConfig) -> dict:
                 # Fresh events only — the server's health mask is
                 # cumulative across applies on the same process.
                 fresh = events[arg][len(events[arg - 1]):]
-                admin.request({
-                    "op": "faults", "action": "apply",
-                    "topology": config.topology,
-                    "events": [ev.to_jsonable() for ev in fresh],
-                    "label": arg,
-                })
+                admin.apply_faults(config.topology, fresh, label=arg)
                 current_label = arg
                 applies_done += 1
             else:
@@ -310,14 +305,10 @@ def run_chaos(config: ChaosConfig) -> dict:
                     # The restarted server is pristine (epoch 0, also a
                     # valid oracle state) until the cumulative fault mask
                     # is re-applied under the same label.
-                    admin.request({
-                        "op": "faults", "action": "apply",
-                        "topology": config.topology,
-                        "events": [
-                            ev.to_jsonable() for ev in events[current_label]
-                        ],
-                        "label": current_label,
-                    })
+                    admin.apply_faults(
+                        config.topology, events[current_label],
+                        label=current_label,
+                    )
 
         thread.join(timeout=config.request_deadline_s)
         driver_alive = thread.is_alive()

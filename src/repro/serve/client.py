@@ -21,7 +21,7 @@ import socket
 import time
 from typing import IO
 
-__all__ = ["ServeClient", "ServeError", "wait_until_ready"]
+__all__ = ["BaseClient", "ServeClient", "ServeError", "wait_until_ready"]
 
 from repro.serve.server import READY_PREFIX
 
@@ -96,60 +96,20 @@ def wait_until_ready(stdout: IO[str], timeout: float = 60.0) -> dict:
         sel.close()
 
 
-class ServeClient:
-    """One blocking NDJSON connection to a :class:`~repro.serve.server.ServeServer`.
+class BaseClient:
+    """The query and admin ops of the NDJSON protocol, each one
+    :meth:`request` call.
 
-    Usable as a context manager; every query method raises
-    :class:`ServeError` on an ``ok: false`` response (``exc.code`` holds
-    400/404/429/500/503/504, ``exc.kind`` the refinement when sent) so
-    callers can branch on backpressure explicitly.
+    :class:`ServeClient` sends a request once over one connection;
+    :class:`~repro.serve.reliability.RetryingClient` resends it across
+    reconnects.  Every op raises :class:`ServeError` on an ``ok: false``
+    response (``exc.code`` holds 400/404/429/500/503/504, ``exc.kind``
+    the refinement when sent).
     """
 
-    def __init__(
-        self, host: str, port: int, timeout: float | None = 60.0
-    ) -> None:
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._rfile = self._sock.makefile("r", encoding="utf-8", newline="\n")
-        self._next_id = 0
-
-    def close(self) -> None:
-        try:
-            self._rfile.close()
-        finally:
-            self._sock.close()
-
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- protocol ----------------------------------------------------------
-
     def request(self, req: dict) -> dict:
-        """Send one request object, block for its response object.
-
-        A caller-supplied ``id`` is preserved verbatim (the idempotent
-        resend contract :class:`~repro.serve.reliability.RetryingClient`
-        relies on); otherwise a connection-local counter is stamped in.
-        """
-        if "id" not in req:
-            self._next_id += 1
-            req = dict(req, id=self._next_id)
-        self._sock.sendall(json.dumps(req).encode() + b"\n")
-        line = self._rfile.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        resp = json.loads(line)
-        if not isinstance(resp, dict):
-            raise ServeError(500, "malformed response line")
-        if not resp.get("ok", False):
-            raise ServeError(
-                int(resp.get("code", 500)),
-                str(resp.get("error", "unknown")),
-                kind=resp.get("kind"),
-            )
-        return resp
+        """Send one request object, return its ``ok`` response object."""
+        raise NotImplementedError
 
     # -- queries -----------------------------------------------------------
 
@@ -196,7 +156,7 @@ class ServeClient:
         resp = self.query(
             "distance", topology, pairs, deadline_ms=deadline_ms, strict=strict
         )
-        return [int(v) for v in resp["result"]]
+        return resp["result"]
 
     def path(
         self,
@@ -210,8 +170,7 @@ class ServeClient:
         resp = self.query(
             "path", topology, pairs, deadline_ms=deadline_ms, strict=strict
         )
-        return [None if p is None else [int(v) for v in p]
-                for p in resp["result"]]
+        return resp["result"]
 
     # -- fault-epoch administration ----------------------------------------
 
@@ -248,6 +207,58 @@ class ServeClient:
         if not isinstance(status, dict):
             raise ServeError(500, "malformed faults status response")
         return status
+
+
+class ServeClient(BaseClient):
+    """One blocking NDJSON connection to a :class:`~repro.serve.server.ServeServer`.
+
+    Usable as a context manager; the query and admin ops are
+    :class:`BaseClient`'s, each one request on this connection.
+    """
+
+    def __init__(
+        self, host: str, port: int, timeout: float | None = 60.0
+    ) -> None:
+        self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._rfile = self._sock.makefile("r", encoding="utf-8", newline="\n")
+        self._next_id = 0
+
+    def close(self) -> None:
+        try:
+            self._rfile.close()
+        finally:
+            self._sock.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    def request(self, req: dict) -> dict:
+        """Send one request object, block for its response object.
+
+        A caller-supplied ``id`` is preserved verbatim (the idempotent
+        resend contract :class:`~repro.serve.reliability.RetryingClient`
+        relies on); otherwise a connection-local counter is stamped in.
+        """
+        if "id" not in req:
+            self._next_id += 1
+            req = dict(req, id=self._next_id)
+        self._sock.sendall(json.dumps(req).encode() + b"\n")
+        line = self._rfile.readline()
+        if not line:
+            raise ConnectionError("server closed the connection")
+        resp = json.loads(line)
+        if not isinstance(resp, dict):
+            raise ServeError(500, "malformed response line")
+        if not resp.get("ok", False):
+            raise ServeError(
+                int(resp.get("code", 500)),
+                str(resp.get("error", "unknown")),
+                kind=resp.get("kind"),
+            )
+        return resp
 
 
 def _pairs_payload(pairs: object) -> list[list[int]]:

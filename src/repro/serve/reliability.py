@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from repro import obs
-from repro.serve.client import ServeClient, ServeError, _pairs_payload
+from repro.serve.client import BaseClient, ServeClient, ServeError
 
 __all__ = [
     "RETRYABLE_CODES",
@@ -170,10 +170,11 @@ class CircuitBreaker:
             self._export()
 
 
-class RetryingClient:
+class RetryingClient(BaseClient):
     """A route-query client that transparently rides out server trouble.
 
-    Wraps a lazily-dialed :class:`ServeClient` connection.  Each call to
+    Wraps a lazily-dialed :class:`ServeClient` connection; the query and
+    admin ops are :class:`~repro.serve.client.BaseClient`'s.  Each call to
     :meth:`request` is one *logical* request: it gets a stable idempotent
     id, an overall deadline budget (``deadline_s``), and is retried —
     with seeded exponential backoff and breaker gating — across
@@ -327,65 +328,3 @@ class RetryingClient:
                 raise error
             self._note_retry(cause)
             self._sleep(delay)
-
-    # -- queries ------------------------------------------------------------
-
-    def ping(self) -> list[str]:
-        """Liveness probe; returns the served topology names."""
-        return list(self.request({"op": "ping"})["topologies"])
-
-    def stats(self) -> dict:
-        """Server-side counters and latency quantiles."""
-        stats = self.request({"op": "stats"})["stats"]
-        if not isinstance(stats, dict):
-            raise ServeError(500, "malformed stats response")
-        return stats
-
-    def query(
-        self,
-        op: str,
-        topology: str,
-        pairs: object,
-        *,
-        deadline_ms: float | None = None,
-        strict: bool = False,
-    ) -> dict:
-        """One distance/path request with retries, returning the full
-        response object (``result`` plus the fault-epoch ``epoch`` label)."""
-        req: dict = {
-            "op": op, "topology": topology, "pairs": _pairs_payload(pairs)
-        }
-        if deadline_ms is not None:
-            req["deadline_ms"] = deadline_ms
-        if strict:
-            req["strict"] = True
-        return self.request(req)
-
-    def distance(
-        self,
-        topology: str,
-        pairs: object,
-        *,
-        deadline_ms: float | None = None,
-        strict: bool = False,
-    ) -> list[int]:
-        """Batched distance lookup with retries (``-1`` = unreachable)."""
-        resp = self.query(
-            "distance", topology, pairs, deadline_ms=deadline_ms, strict=strict
-        )
-        return [int(v) for v in resp["result"]]
-
-    def path(
-        self,
-        topology: str,
-        pairs: object,
-        *,
-        deadline_ms: float | None = None,
-        strict: bool = False,
-    ) -> list[list[int] | None]:
-        """Batched path lookup with retries (``None`` = unreachable)."""
-        resp = self.query(
-            "path", topology, pairs, deadline_ms=deadline_ms, strict=strict
-        )
-        return [None if p is None else [int(v) for v in p]
-                for p in resp["result"]]

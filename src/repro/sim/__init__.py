@@ -17,7 +17,6 @@ from repro.sim.flow import (
     saturation_load,
     ugal_saturation_load,
     valiant_link_loads,
-    latency_curve,
 )
 from repro.sim.packet import PacketSimConfig, PacketSimResult, PacketSimulator
 from repro.sim.motif import MotifEngine, MotifNetworkConfig
@@ -27,7 +26,6 @@ __all__ = [
     "saturation_load",
     "ugal_saturation_load",
     "valiant_link_loads",
-    "latency_curve",
     "PacketSimConfig",
     "PacketSimResult",
     "PacketSimulator",

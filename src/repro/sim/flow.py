@@ -40,13 +40,10 @@ __all__ = [
     "saturation_load",
     "valiant_link_loads",
     "ugal_saturation_load",
-    "latency_curve",
 ]
 
 #: Minimal/Valiant splits UGAL's saturation is the best of (0, 0.1, ..., 1).
 _UGAL_MIXTURES = 11
-#: Latency of one hop at zero load, in hop-times.
-_HOP_LATENCY = 1.0
 
 
 def link_loads(
@@ -231,35 +228,3 @@ def ugal_saturation_load(
     l_val = valiant_link_loads(topology, router, demand, mode)
     return max(saturation((1 - a) * l_min + a * l_val) for a in np.linspace(0, 1, _UGAL_MIXTURES))
 
-
-def latency_curve(
-    topology: Topology,
-    router: Router,
-    demand: np.ndarray,
-    loads: np.ndarray | None = None,
-    mode: str = "all",
-    points: int = 24,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Open-loop latency-vs-offered-load curve (M/M/1 queueing per link).
-
-    Latency is in hop-times; load is normalized per-endpoint injection.
-    The curve diverges at the saturation load — the Fig. 9 shape.
-    """
-    if loads is None:
-        loads = link_loads(topology, router, demand, mode)
-    total_demand = demand.sum()
-    if total_demand == 0 or not len(loads):
-        return np.array([0.0]), np.array([0.0])
-
-    # Average hops weighted by demand (sum of link loads = demand * avg_hops).
-    avg_hops = loads.sum() / total_demand
-    sat = saturation(loads)
-    lam = np.linspace(0.02, sat * 0.995, points)
-    latency = np.empty_like(lam)
-    for i, l in enumerate(lam):
-        rho = np.clip(loads * l, 0.0, 0.999)
-        # queueing delay accumulated along paths: each unit of flow on a link
-        # suffers rho/(1-rho); weight by the link's share of total flow.
-        queueing = (loads * rho / (1.0 - rho)).sum() / loads.sum() * avg_hops
-        latency[i] = avg_hops * _HOP_LATENCY + queueing
-    return lam, latency

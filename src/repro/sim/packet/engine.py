@@ -49,7 +49,6 @@ import numpy as np
 
 from repro import obs
 from repro.faults import FaultSchedule, RouteUnavailableError, UNREACHABLE
-from repro.obs.metrics import MetricsRegistry
 from repro.routing.base import Router
 from repro.sim.packet.reference import (
     PacketSimConfig,
@@ -187,13 +186,12 @@ class PacketSimulator(ReferencePacketSimulator):
         pattern: TrafficPattern,
         config: PacketSimConfig | None = None,
         adaptive: bool = False,
-        metrics: MetricsRegistry | None = None,
         faults: FaultSchedule | None = None,
         engine: str = "soa",
     ):
         if engine not in ("soa", "reference"):
             raise ValueError(f"unknown packet engine {engine!r}")
-        super().__init__(topology, router, pattern, config, adaptive, metrics, faults)
+        super().__init__(topology, router, pattern, config, adaptive, faults)
         self.engine = engine
         # Reference `_nh_cache` hit/miss parity for the table-backed loops:
         # one byte per flattened (router, target) pair, set on its first
@@ -235,7 +233,7 @@ class PacketSimulator(ReferencePacketSimulator):
         warm = cfg.warmup_cycles
         n = topo.num_routers
 
-        reg = self.metrics if self.metrics is not None else obs.get_registry()
+        reg = obs.get_registry()
         obs_on = reg.enabled
         vc_cap_sends = 0
         max_hops_seen = 0
@@ -756,7 +754,7 @@ class PacketSimulator(ReferencePacketSimulator):
         warm = cfg.warmup_cycles
         n = topo.num_routers
 
-        reg = self.metrics if self.metrics is not None else obs.get_registry()
+        reg = obs.get_registry()
         obs_on = reg.enabled
         ugal_minimal = 0
         ugal_nonminimal = 0

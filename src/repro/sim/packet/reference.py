@@ -153,15 +153,12 @@ class ReferencePacketSimulator:
         pattern: TrafficPattern,
         config: PacketSimConfig | None = None,
         adaptive: bool = False,
-        metrics: MetricsRegistry | None = None,
         faults: FaultSchedule | None = None,
     ):
         self.topology = topology
         self.pattern = pattern
         self.cfg = config or PacketSimConfig()
         self.adaptive = adaptive
-        #: Explicit registry, or ``None`` to use the ambient one per run.
-        self.metrics = metrics
         #: Fault schedule injected into the event heap (None = fault-free).
         self.faults = faults if faults is not None and len(faults) else None
         if self.faults is not None and not isinstance(router, FaultAwareRouter):
@@ -339,7 +336,7 @@ class ReferencePacketSimulator:
 
         # Observability: resolve the registry once per run; when disabled the
         # hot loop pays a single local-bool test per guarded block.
-        reg = self.metrics if self.metrics is not None else obs.get_registry()
+        reg = obs.get_registry()
         obs_on = reg.enabled
         nh_hits0, nh_misses0 = self._nh_hits, self._nh_misses
         ugal_minimal = 0

@@ -62,6 +62,7 @@ __all__ = [
     "ArtifactStore",
     "CORRUPT_ERRORS",
     "StoreEntry",
+    "atomic_write",
     "configure",
     "default_root",
     "get_store",
@@ -83,6 +84,39 @@ def default_root() -> Path | None:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro-store"
+
+
+def atomic_write(io: DiskIo, path: Path, blob: bytes, prefix: str = ".tmp-") -> int:
+    """Durably publish *blob* at *path* through *io*; returns ``len(blob)``.
+
+    The one commit protocol of every durable write (the "Durability
+    contract" in ``docs/ARCHITECTURE.md``): an O_EXCL temp file whose
+    name starts with *prefix*, beside *path* (concurrent writers can never
+    interleave into one file), ``fsync`` of the temp so the *content* is
+    on media before it becomes reachable, an atomic ``replace`` (readers
+    see the old file, the new one, never a torn one), then ``fsync`` of
+    the parent directory so the *rename* itself survives power loss.  The
+    temp file is unlinked on any failure; one a crash strands anyway is
+    reaped by :meth:`ArtifactStore.gc` in a store root.
+    """
+    f = io.exclusive_create(path.parent, prefix=prefix)
+    tmp = f.path
+    try:
+        io.write(f, blob)
+        io.fsync(f)
+        io.close(f)
+        io.replace(tmp, path)
+        io.fsync_dir(path.parent)
+        return len(blob)
+    except BaseException:
+        io.close(f)
+        try:
+            io.unlink(tmp)
+        except FileNotFoundError:
+            pass  # already renamed into place (failure was post-replace)
+        except OSError:
+            logger.warning("stray temp file left behind: %s", tmp)
+        raise
 
 
 class StoreEntry:
@@ -267,10 +301,10 @@ class ArtifactStore:
             if arrays:
                 buf = BytesIO()
                 np.savez(buf, **arrays)
-                nwritten += self._atomic_write(data_path, buf.getvalue())
+                nwritten += atomic_write(self._io, data_path, buf.getvalue())
             # Sidecar last: its presence marks the entry complete.
             blob = json.dumps(meta, sort_keys=True, indent=1).encode("utf-8")
-            nwritten += self._atomic_write(meta_path, blob)
+            nwritten += atomic_write(self._io, meta_path, blob)
             self._count_bytes("write", nwritten)
         except OSError as exc:
             # A read-only or full store root degrades to memory-only caching.
@@ -281,37 +315,6 @@ class ArtifactStore:
                 self.root,
                 exc,
             )
-
-    def _atomic_write(self, path: Path, blob: bytes) -> int:
-        """Durably publish *blob* at *path* via temp file + atomic rename.
-
-        The full commit protocol (the "Durability contract" in
-        ``docs/ARCHITECTURE.md``): an O_EXCL temp file (concurrent writers
-        can never interleave into one file), ``fsync`` of the temp so the
-        *content* is on media before it becomes reachable, an atomic
-        ``replace`` (readers see the old entry, the new one, never a torn
-        one), then ``fsync`` of the parent directory so the *rename*
-        itself survives power loss.  The temp file is unlinked on any
-        failure; one a crash strands anyway is reaped by :meth:`gc`.
-        """
-        f = self._io.exclusive_create(path.parent, prefix=".tmp-")
-        tmp = f.path
-        try:
-            self._io.write(f, blob)
-            self._io.fsync(f)
-            self._io.close(f)
-            self._io.replace(tmp, path)
-            self._io.fsync_dir(path.parent)
-            return len(blob)
-        except BaseException:
-            self._io.close(f)
-            try:
-                self._io.unlink(tmp)
-            except FileNotFoundError:
-                pass  # already renamed into place (failure was post-replace)
-            except OSError:
-                logger.warning("store: stray temp file left behind: %s", tmp)
-            raise
 
     def _delete_entry(self, digest: str) -> None:
         if self.root is None:

@@ -171,7 +171,9 @@ class TestCommands:
         ("tab03", "names=PS-IQ", "expected a list of topology names, got 'PS-IQ'"),
         ("fig09", 'names=["PS-IQ-x"]', "unknown topology 'PS-IQ-x'"),
         ("fig09", 'patterns=["tornado"]', "unknown pattern 'tornado'; options: uniform,"),
+        ("fig09", "with_ugal=False", "with_ugal must be true or false, got 'False'"),
         ("fig10", 'names=["HX"]', "unknown topology 'HX'; options: PS-IQ, PS-Pal, BF, DF, MF"),
+        ("fig10", "with_ugal=1", "with_ugal must be true or false, got 1"),
         ("fig14_dynamic", 'names=["SF"]', "unknown topology 'SF'"),
         ("fig14_dynamic", "fractions=[0.1,1.5]", "fraction must be a finite number in [0, 1.0], got 1.5"),
         ("fig14_dynamic", "fractions=0.1", "fractions must be a list, got 0.1"),
@@ -181,7 +183,8 @@ class TestCommands:
         ("fig14_dynamic", "cycles=[20,40]", "cycles must be three integers"),
         ("fig14_dynamic", "cycles=[20,0,40]", "measure_cycles must be >= 1, got 0"),
     ], ids=["tab03-key", "tab03-name", "tab03-names-str", "fig09-name",
-            "fig09-pattern", "fig10-name", "fig14-name", "fig14-fraction",
+            "fig09-pattern", "fig09-with-ugal-str", "fig10-name",
+            "fig10-with-ugal-int", "fig14-name", "fig14-fraction",
             "fig14-fractions-float", "fig14-load", "fig14-load-nan",
             "fig14-load-inf", "fig14-cycles-two", "fig14-cycles-zero"])
     def test_run_rejects_bad_opt_in_one_line(

@@ -43,7 +43,7 @@ from repro.runtime.journal import (
 from repro.runtime.plan import build_plan
 from repro.runtime.supervisor import PoolConfig, run_plan
 from repro.store import codecs
-from repro.store.core import ArtifactStore
+from repro.store.core import ArtifactStore, atomic_write
 from repro.store.keys import ArtifactKey
 
 FAST = dict(backoff_base=0.05, backoff_cap=0.2)
@@ -200,27 +200,13 @@ class TestAtomicWriteProtocol:
 # -- FaultyIo crash-state model -----------------------------------------------
 
 
-def attempt_atomic_write(io: DiskIo, path: Path, blob: bytes) -> None:
-    f = io.exclusive_create(path.parent, prefix=".tmp-")
-    tmp = f.path
-    try:
-        io.write(f, blob)
-        io.fsync(f)
-        io.close(f)
-        io.replace(tmp, path)
-        io.fsync_dir(path.parent)
-    except SimulatedCrash:
-        io.close(f)
-        raise
-
-
 class TestCrashStateModel:
     BLOB = b"0123456789abcdef"
 
     def crash_at(self, tmp_path, fault: IoFault) -> FaultyIo:
         io = FaultyIo(ScriptedPolicy([fault]))
         with pytest.raises(SimulatedCrash):
-            attempt_atomic_write(io, tmp_path / "entry.json", self.BLOB)
+            atomic_write(io, tmp_path / "entry.json", self.BLOB)
         assert io.crashed and io.crash_op is not None
         io.materialize_crash_state()
         return io
@@ -266,7 +252,7 @@ class TestCrashStateModel:
 
     def test_crash_after_fsync_dir_is_fully_durable(self, tmp_path):
         io = FaultyIo()
-        attempt_atomic_write(io, tmp_path / "entry.json", self.BLOB)
+        atomic_write(io, tmp_path / "entry.json", self.BLOB)
         state = io.durable_state()
         assert state[str(tmp_path / "entry.json")] == self.BLOB
 

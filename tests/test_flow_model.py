@@ -6,7 +6,6 @@ import pytest
 from repro.graphs import Graph
 from repro.routing import TableRouter
 from repro.sim.flow import (
-    latency_curve,
     link_loads,
     saturation_load,
     ugal_saturation_load,
@@ -104,23 +103,6 @@ class TestSaturation:
         topo = line_topology()
         r = TableRouter(topo.graph)
         assert saturation_load(topo, r, np.zeros((3, 3))) == 1.0
-
-
-class TestLatencyCurve:
-    def test_monotone_increasing(self):
-        topo = polarstar_topology(9, p=3)
-        r = TableRouter(topo.graph)
-        demand = UniformRandomPattern(topo).router_demand()
-        lam, lat = latency_curve(topo, r, demand, points=10)
-        assert (np.diff(lat) > 0).all()
-        assert lat[0] < lat[-1]
-
-    def test_diverges_near_saturation(self):
-        topo = polarstar_topology(9, p=3)
-        r = TableRouter(topo.graph)
-        demand = UniformRandomPattern(topo).router_demand()
-        lam, lat = latency_curve(topo, r, demand, points=16)
-        assert lat[-1] > 5 * lat[0]
 
 
 # -- the per-pair reference solver -------------------------------------------
@@ -416,7 +398,6 @@ BATCH_ROUTERS = [
     "dragonfly",
     "polarfly",
     "hyperx",
-    "hyperx-doal",
     "fault-aware",
     "reduced-PS-IQ",
     "reduced-PS-Pal",
@@ -428,7 +409,6 @@ def _batch_router(name):
     """One router of every class, each on a network it routes."""
     from repro.faults import FaultAwareRouter, LinkHealth, permanent_link_failures
     from repro.routing import DragonflyRouter, HyperXRouter
-    from repro.routing.hyperx_routing import HyperXDoalRouter
     from repro.topologies import PolarFlyRouter, hyperx_topology, polarfly_topology
 
     if name == "table-disconnected":
@@ -443,9 +423,8 @@ def _batch_router(name):
         return DragonflyRouter(dragonfly_topology(a=4, h=2, p=2))
     if name == "polarfly":
         return PolarFlyRouter(polarfly_topology(5))
-    if name.startswith("hyperx"):
-        hx = hyperx_topology((3, 4, 2), p=2)
-        return HyperXDoalRouter(hx) if name.endswith("doal") else HyperXRouter(hx)
+    if name == "hyperx":
+        return HyperXRouter(hyperx_topology((3, 4, 2), p=2))
     topo, _ = _polarstar("iq", 3, 3)
     health = LinkHealth(topo.graph)
     health.apply_schedule(permanent_link_failures(topo.graph, 0.05, seed=0))

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs.export import console_summary, export_csv, export_json, load_json
+from repro.obs.export import console_summary, export_json, load_json
 from repro.obs.manifest import RunManifest, git_revision
 from repro.obs.metrics import (
     CardinalityError,
@@ -22,7 +22,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_INSTRUMENT,
     exponential_buckets,
-    linear_buckets,
 )
 from repro.obs.tracing import NULL_TRACER, Tracer
 
@@ -138,7 +137,6 @@ class TestHistogram:
             Histogram(bounds=(3, 2, 1))
 
     def test_bucket_helpers(self):
-        assert linear_buckets(0, 5, 3) == (0, 5, 10)
         assert exponential_buckets(1, 2, 4) == (1, 2, 4, 8)
         with pytest.raises(ValueError):
             exponential_buckets(0, 2, 4)
@@ -299,16 +297,6 @@ class TestExporters:
         with pytest.raises(ValueError):
             load_json(p)
 
-    def test_csv_export_flattens_samples(self, tmp_path):
-        reg, _ = self._session()
-        path = export_csv(tmp_path / "m.csv", reg)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "name,type,labels,field,value"
-        body = "\n".join(lines[1:])
-        assert "pkts,counter,stage=injected,value,10" in body
-        assert "lat,histogram,,count,3" in body
-        assert "bucket_le=inf" in body
-
     def test_console_summary_renders_everything(self, tmp_path):
         reg, tracer = self._session()
         manifest = RunManifest.capture(seed=9)
@@ -438,18 +426,3 @@ class TestIntegration:
             assert reg.get("sim.flow.dest_columns").value > 0
             assert reg.get("sim.flow.max_link_load").value > 0
 
-    def test_ugal_policy_decision_counters(self):
-        from repro.routing import TableRouter
-        from repro.routing.ugal import UgalPolicy
-        from repro.topologies import polarstar_topology
-
-        topo = polarstar_topology(7, p=2)
-        with obs.session() as (reg, _):
-            policy = UgalPolicy(TableRouter(topo.graph), samples=4, seed=1)
-            for d in range(1, 30):
-                policy.choose(0, d, lambda u, v: 0.0)
-            fam = reg.get("routing.ugal.decisions")
-            total = sum(s["value"] for s in fam.samples())
-            assert total == 29
-            # uncongested network: minimal always wins
-            assert fam.labels(choice="minimal").value == 29

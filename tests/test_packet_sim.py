@@ -6,11 +6,16 @@ import weakref
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.faults import FaultAwareRouter, LinkHealth, permanent_link_failures
 from repro.routing import PolarStarRouter, TableRouter
 from repro.sim.packet import PacketSimConfig, PacketSimulator, latency_load_sweep
 from repro.topologies import dragonfly_topology, polarstar_topology
-from repro.traffic import RandomPermutationPattern, UniformRandomPattern
+from repro.traffic import (
+    AdversarialGroupPattern,
+    RandomPermutationPattern,
+    UniformRandomPattern,
+)
 
 FAST = PacketSimConfig(warmup_cycles=300, measure_cycles=1200, drain_cycles=1500, seed=1)
 
@@ -162,3 +167,26 @@ class TestUgal:
         pat = UniformRandomPattern(small_ps)
         res = PacketSimulator(small_ps, r, pat, FAST, adaptive=True).run(0.3)
         assert res.stable
+
+    @pytest.mark.parametrize("engine", ["soa", "reference"])
+    def test_ugal_misroutes_only_under_congestion(self, small_df, engine):
+        """UGAL-L (§9.3) keeps every packet minimal while queues are empty
+        and sends most through Valiant intermediates once adversarial
+        traffic congests the minimal global links, on both engines."""
+        router = TableRouter(small_df.graph)
+        pattern = AdversarialGroupPattern(small_df)
+        cfg = PacketSimConfig(
+            warmup_cycles=100, measure_cycles=400, drain_cycles=400, seed=0
+        )
+        counts = {}
+        for load in (0.05, 0.55):
+            with obs.session() as (reg, _):
+                PacketSimulator(
+                    small_df, router, pattern, cfg, adaptive=True, engine=engine
+                ).run(load)
+                fam = reg.get("sim.packet.ugal_decisions")
+                counts[load] = {
+                    c: fam.labels(choice=c).value for c in ("minimal", "nonminimal")
+                }
+        assert counts[0.05]["nonminimal"] == 0
+        assert counts[0.55]["nonminimal"] > counts[0.55]["minimal"]

@@ -14,9 +14,7 @@ from repro.routing import (
     HyperXRouter,
     PolarStarRouter,
     TableRouter,
-    UgalPolicy,
     route_path,
-    valiant_path,
 )
 from repro.topologies import dragonfly_topology, hyperx_topology
 
@@ -270,34 +268,3 @@ class TestHyperXRouter:
         # routers differing in all 3 dims have 3 minimal first hops
         assert len(r.next_hops(0, topo.num_routers - 1)) == 3
 
-
-class TestUgal:
-    def test_valiant_path_valid(self):
-        topo = dragonfly_topology(a=4, h=2, p=2)
-        r = TableRouter(topo.graph)
-        path = valiant_path(r, 0, 10, 20)
-        assert path[0] == 0 and path[-1] == 10 and 20 in path
-        for a, b in zip(path, path[1:]):
-            assert topo.graph.has_edge(a, b)
-
-    def test_ugal_prefers_minimal_when_uncongested(self):
-        topo = dragonfly_topology(a=4, h=2, p=2)
-        r = TableRouter(topo.graph)
-        policy = UgalPolicy(r, samples=4, seed=0)
-        decisions = [policy.choose(0, t, lambda u, v: 0.0) for t in range(1, 30)]
-        assert all(d.minimal for d in decisions)
-
-    def test_ugal_misroutes_under_congestion(self):
-        topo = dragonfly_topology(a=4, h=2, p=2)
-        r = TableRouter(topo.graph)
-        policy = UgalPolicy(r, samples=8, seed=1)
-        # Congestion only on the minimal first hop.
-        dest = 30
-        min_next = r.next_hop(0, dest)
-
-        def queue(u, v):
-            return 50.0 if (u == 0 and v == min_next) else 0.0
-
-        decision = policy.choose(0, dest, queue)
-        assert not decision.minimal
-        assert decision.intermediate is not None

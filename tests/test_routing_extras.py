@@ -1,39 +1,12 @@
-"""Tests for routing extensions: DOAL, all-minimal-hops, instrumentation."""
+"""Tests for routing extensions: all-minimal-hops, instrumentation."""
 
 import numpy as np
 import pytest
 
 from repro.core import PolarStarConfig, build_polarstar
 from repro.routing import PolarStarRouter, TableRouter
-from repro.routing.hyperx_routing import HyperXDoalRouter
-from repro.topologies import hyperx_topology, polarstar_topology
+from repro.topologies import polarstar_topology
 from repro.traffic import UniformRandomPattern
-
-
-class TestDoal:
-    def test_candidates_include_minimal(self):
-        topo = hyperx_topology((4, 4, 3), p=2)
-        r = HyperXDoalRouter(topo, seed=1)
-        mins = set(r.next_hops(0, topo.num_routers - 1))
-        cands = r.adaptive_candidates(0, topo.num_routers - 1)
-        assert mins <= set(cands)
-
-    def test_detours_stay_in_dimension(self):
-        topo = hyperx_topology((4, 4), p=1)
-        r = HyperXDoalRouter(topo, seed=0)
-        src, dst = 0, 5  # differs in both dims
-        for cand in r.adaptive_candidates(src, dst):
-            # every candidate is a real neighbor (differs in one dim)
-            assert topo.graph.has_edge(src, cand)
-
-    def test_detour_adds_at_most_one_hop_per_dim(self):
-        topo = hyperx_topology((5, 5), p=1)
-        r = HyperXDoalRouter(topo, seed=3)
-        src, dst = 0, 24
-        base = r.distance(src, dst)
-        for cand in r.adaptive_candidates(src, dst):
-            assert r.distance(cand, dst) <= base  # detour never regresses > 1
-            assert 1 + r.distance(cand, dst) <= base + 1
 
 
 class TestAllMinimalHops:

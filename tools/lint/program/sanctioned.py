@@ -129,8 +129,8 @@ CLAUSES: tuple[Clause, ...] = (
     ),
     # Durability discipline: the store's disk tier and the run journal
     # write only through the repro.faults.io seam (DiskIo) and the
-    # sanctioned helpers (_atomic_write, Journal.append, atomic_write_text);
-    # a raw write there is invisible to `repro faults crashpoints`.
+    # sanctioned helpers (atomic_write, Journal.append); a raw write
+    # there is invisible to `repro faults crashpoints`.
     Clause(
         "RL115",
         scope=("src/repro/store", "src/repro/runtime"),
@@ -140,7 +140,7 @@ CLAUSES: tuple[Clause, ...] = (
                  "*.write_bytes"),
         reason="is a raw durability-affecting write outside the sanctioned "
         "helpers; route it through the repro.faults.io seam (DiskIo/"
-        "_atomic_write/Journal.append/atomic_write_text) so crash-point "
+        "repro.store.core.atomic_write/Journal.append) so crash-point "
         "exploration and fault injection cover it",
     ),
     # Wall-clock discipline: phases are timed through obs.span so profiles
